@@ -71,12 +71,12 @@ from .inference import (
     fit_cer_cer,
     fit_sn_sn,
     posterior_summary,
+    snf_sample_matrix,
     spawn_rng,
 )
 from .io import ConfigKey, _parse_choice, _parse_float, _parse_int, _parse_ints_csv, _parse_str
 from .metrics import MetricSpec, classical_mds, distance_matrix
 from .models import CerParams, SnfParams, cer_sample_matrix, sample_frechet_mean
-from .inference import snf_sample_matrix
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -172,8 +172,9 @@ def _cmd_simulate(args) -> int:
             mat = cer_sample_matrix(CerParams(mode, values["alpha"]), count, rng)
         else:
             params = SnfParams(mode, values["gamma"], _metric_from(values))
-            steps = values["inner_steps"] or 20 * mode.n_pairs
-            mat = snf_sample_matrix(params, count, steps, 1.0 / mode.n_pairs, rng)
+            knobs = McmcConfig(n_samples=0, aux_inner_steps=values["inner_steps"])
+            steps, tau = knobs.resolved_aux_steps(mode.n_pairs), knobs.resolved_tau(mode.n_pairs)
+            mat = snf_sample_matrix(params, count, steps, tau, rng)
         graphs = tuple(LabelledGraph.from_vector(n, row) for row in mat)
     pop = GraphPopulation(graphs, tuple(f"g{k + 1}" for k in range(count)))
     pop_path = f"{out}/population.ndjson"

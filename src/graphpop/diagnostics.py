@@ -104,12 +104,9 @@ def _resolve_sim_knobs(model, metric, inner_steps, tau, n_vertices):
         raise DomainError(f"model must be 'cer' or 'snf', got {model!r}")
     if model == "snf" and metric is None:
         raise DomainError("SNF replicate simulation needs the fitted metric")
+    knobs = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
     ne = n_pairs(n_vertices)
-    if inner_steps is None:
-        inner_steps = 20 * ne
-    if tau is None:
-        tau = 1.0 / ne
-    return inner_steps, tau
+    return knobs.resolved_aux_steps(ne), knobs.resolved_tau(ne)
 
 
 # ---------------------------------------------------------------------------

@@ -295,7 +295,6 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     draws = snf_sample_matrix(
         params, 2000, cfg.mcmc.resolved_aux_steps(ne), cfg.mcmc.resolved_tau(ne), rng
     )
-    truth_vec = truth.to_vector()
     dists = np.array(
         [
             cfg.metric.distance(
@@ -444,6 +443,8 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
     equal bins when n falls below the default five.
     """
     fit_metric = None if cfg.model == "cer" else cfg.metric
+    ne = n_pairs(cfg.n_vertices)
+    knobs = dict(inner_steps=cfg.mcmc.resolved_aux_steps(ne), tau=cfg.mcmc.resolved_tau(ne))
 
     def one(args):
         n, r = args
@@ -457,7 +458,7 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
         out = {}
         for stat in cfg.statistics:
             ppc = posterior_predictive_check(
-                trace, cfg.model, pop, stat, cfg.ppc_draws, rng, metric=fit_metric
+                trace, cfg.model, pop, stat, cfg.ppc_draws, rng, metric=fit_metric, **knobs
             )
             chi2 = bayes_chi2(
                 trace,
@@ -469,6 +470,7 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
                 metric=fit_metric,
                 n_sims=cfg.chi2_sims,
                 max_draws=cfg.chi2_max_draws,
+                **knobs,
             )
             out[stat.name] = (
                 ppc.tail_prob < cfg.nominal_level,

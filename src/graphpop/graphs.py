@@ -9,7 +9,7 @@ popcounts and the space of all graphs on N vertices is the integer range
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
+from functools import lru_cache
 from typing import Optional, Sequence, Union
 
 import numpy as np
@@ -40,13 +40,13 @@ def pair_index(i: int, j: int, n_vertices: int) -> int:
     return i * n_vertices - i * (i + 1) // 2 + (j - i - 1)
 
 
+@lru_cache(maxsize=32)
 def pair_positions(n_vertices: int) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays (I, J) so that bit p encodes the pair (I[p], J[p])."""
-    pairs = list(combinations(range(n_vertices), 2))
-    idx = np.array(pairs, dtype=np.int64)
-    if idx.size == 0:
-        return np.zeros(0, dtype=np.int64), np.zeros(0, dtype=np.int64)
-    return idx[:, 0], idx[:, 1]
+    """Arrays (I, J) so that bit p encodes the pair (I[p], J[p]); read-only, cached."""
+    ii, jj = np.triu_indices(n_vertices, 1)
+    ii.flags.writeable = False
+    jj.flags.writeable = False
+    return ii, jj
 
 
 @dataclass(frozen=True)
@@ -86,12 +86,9 @@ class LabelledGraph:
 
     def edges(self) -> list[tuple[int, int]]:
         """Sorted list of 0-based edge pairs (i, j), i < j."""
-        out = []
-        bits = self.edge_bits
-        for p, (i, j) in enumerate(combinations(range(self.n_vertices), 2)):
-            if (bits >> p) & 1:
-                out.append((i, j))
-        return out
+        ii, jj = pair_positions(self.n_vertices)
+        on = np.flatnonzero(bits_to_vector(self.edge_bits, self.n_pairs))
+        return list(zip(ii[on].tolist(), jj[on].tolist()))
 
     def to_vector(self) -> np.ndarray:
         """Edge indicators as a uint8 vector of length n_pairs."""
@@ -99,9 +96,10 @@ class LabelledGraph:
 
     def to_adjacency(self) -> np.ndarray:
         a = np.zeros((self.n_vertices, self.n_vertices), dtype=np.int64)
-        for i, j in self.edges():
-            a[i, j] = 1
-            a[j, i] = 1
+        ii, jj = pair_positions(self.n_vertices)
+        vec = bits_to_vector(self.edge_bits, self.n_pairs)
+        a[ii, jj] = vec
+        a[jj, ii] = vec
         return a
 
     def degree_sequence(self) -> np.ndarray:
@@ -124,20 +122,18 @@ class LabelledGraph:
 
 
 def bits_to_vector(bits: int, length: int) -> np.ndarray:
-    vec = np.zeros(length, dtype=np.uint8)
-    b = int(bits)
-    while b:
-        p = (b & -b).bit_length() - 1
-        vec[p] = 1
-        b &= b - 1
-    return vec
+    """Bit-set as a uint8 vector of length ``length``; entry p is bit p."""
+    bits = int(bits)
+    if bits >> length:
+        raise ValueError(f"bit-set does not fit in {length} bits")
+    raw = bits.to_bytes((length + 7) // 8, "little")
+    return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=length, bitorder="little")
 
 
 def vector_to_bits(vec: np.ndarray) -> int:
-    bits = 0
-    for p in np.flatnonzero(vec):
-        bits |= 1 << int(p)
-    return bits
+    """Bit-set whose bit p is set iff entry p of ``vec`` is nonzero."""
+    packed = np.packbits(np.asarray(vec) != 0, bitorder="little")
+    return int.from_bytes(packed.tobytes(), "little")
 
 
 def from_adjacency(matrix) -> LabelledGraph:
@@ -160,11 +156,7 @@ def from_adjacency(matrix) -> LabelledGraph:
                 raise NonBinaryEntryError(j, i, a[j, i])
             if a[i, j] != a[j, i]:
                 raise NonSymmetricError(i, j)
-    bits = 0
-    for p, (i, j) in enumerate(combinations(range(n), 2)):
-        if a[i, j]:
-            bits |= 1 << p
-    return LabelledGraph(n, bits)
+    return LabelledGraph(n, vector_to_bits(a[pair_positions(n)]))
 
 
 def enumerate_graph_space(n_vertices: int) -> list[LabelledGraph]:

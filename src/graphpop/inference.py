@@ -32,9 +32,11 @@ from .errors import (
 from .graphs import (
     GraphPopulation,
     LabelledGraph,
+    bits_to_vector,
     enumerate_graph_space,
     majority_vote,
     n_pairs,
+    vector_to_bits,
 )
 from .metrics import MetricSpec, heat_kernel
 from .models import (
@@ -200,9 +202,12 @@ def propose_mode_flip(g: LabelledGraph, tau: float, rng: np.random.Generator) ->
     """Flip every edge indicator independently with probability tau (symmetric)."""
     if not 0.0 < tau < 1.0:
         raise DomainError(f"tau={tau} outside (0, 1)")
-    vec = g.to_vector()
+    return LabelledGraph.from_vector(g.n_vertices, _flip(g.to_vector(), tau, rng))
+
+
+def _flip(vec: np.ndarray, tau: float, rng: np.random.Generator) -> np.ndarray:
     mask = (rng.random(vec.shape[0]) < tau).astype(np.uint8)
-    return LabelledGraph.from_vector(g.n_vertices, vec ^ mask)
+    return vec ^ mask
 
 
 def propose_mode_empirical(
@@ -239,6 +244,20 @@ class _EmpiricalKernel:
 
     def log_q(self, vec: np.ndarray) -> float:
         return self.base + float(self.w @ vec)
+
+    def mode_move(
+        self, mode_vec: np.ndarray, flip_weight: float, tau: float, rng: np.random.Generator
+    ) -> tuple[str, np.ndarray, float]:
+        """Mixture mode proposal shared by the fitters.
+
+        Draws from the flip kernel with probability ``flip_weight``, else from
+        this empirical kernel; returns the kernel name, the candidate and the
+        log Hastings correction log q(mode) - log q(candidate).
+        """
+        if rng.random() < flip_weight:
+            return "flip", _flip(mode_vec, tau, rng), 0.0
+        cand = self.propose(rng)
+        return "empirical", cand, self.log_q(mode_vec) - self.log_q(cand)
 
 
 def reflected_walk(
@@ -297,40 +316,23 @@ class _MetricEngine:
     def row_bits(self, mat: np.ndarray) -> np.ndarray:
         return mat.astype(np.uint64) @ self.pow2
 
-    def vec_bits(self, vec: np.ndarray) -> int:
-        return int(vec.astype(np.uint64) @ self.pow2) if self.small else _vec_to_bits(vec)
-
     def dist_to(self, mat: np.ndarray, mode_vec: np.ndarray) -> np.ndarray:
         """Raw distances from each row of ``mat`` to the mode."""
         if self.small:
-            return self.table[self.vec_bits(mode_vec)][self.row_bits(mat)]
+            return self.table[vector_to_bits(mode_vec)][self.row_bits(mat)]
         if self.metric.kind == "hamming":
             return (mat != mode_vec).sum(axis=1).astype(np.float64)
         mode_kernel = heat_kernel(
-            LabelledGraph(self.n_vertices, _vec_to_bits(mode_vec)), self.metric.t
+            LabelledGraph(self.n_vertices, vector_to_bits(mode_vec)), self.metric.t
         )
         out = np.empty(mat.shape[0], dtype=np.float64)
         for i in range(mat.shape[0]):
             k = heat_kernel(
-                LabelledGraph(self.n_vertices, _vec_to_bits(mat[i])), self.metric.t
+                LabelledGraph(self.n_vertices, vector_to_bits(mat[i])), self.metric.t
             )
             diff = k - mode_kernel
             out[i] = (diff * diff).sum()
         return out
-
-    def dist_single(self, vec_a: np.ndarray, vec_b: np.ndarray) -> float:
-        return float(self.dist_to(vec_a[None, :], vec_b)[0])
-
-
-def _vec_to_bits(vec: np.ndarray) -> int:
-    bits = 0
-    for p in np.flatnonzero(vec):
-        bits |= 1 << int(p)
-    return bits
-
-
-def _hamming_rows(mat: np.ndarray, vec: np.ndarray) -> np.ndarray:
-    return (mat != vec).sum(axis=1)
 
 
 def snf_mh_matrix(
@@ -376,7 +378,7 @@ def snf_mh_matrix(
 
 def _snf_mh_small(mode_vec, gamma, engine, n_chains, steps, tau, rng, start):
     """Enumerable-space path: states are table indices, the step loop is scalar."""
-    mode_bits = engine.vec_bits(mode_vec)
+    mode_bits = vector_to_bits(mode_vec)
     dvec = engine.table[mode_bits]
     evec = [float(e) for e in engine.metric.apply_phi(dvec)]
     total = steps * n_chains
@@ -401,9 +403,7 @@ def _snf_mh_small(mode_vec, gamma, engine, n_chains, steps, tau, rng, start):
                     s, es = cand, ec
             k += 1
         out_bits[c] = s
-    states = np.stack(
-        [LabelledGraph(engine.n_vertices, int(b)).to_vector() for b in out_bits]
-    )
+    states = np.stack([bits_to_vector(int(b), engine.ne) for b in out_bits])
     return states, dvec[out_bits]
 
 
@@ -424,6 +424,52 @@ def snf_sample_matrix(
         params.mode.to_vector(), params.gamma, engine, count, inner_steps, tau, rng
     )
     return states
+
+
+# ---------------------------------------------------------------------------
+# Shared Metropolis-Hastings driver
+# ---------------------------------------------------------------------------
+
+
+def _run_chain(
+    cfg: McmcConfig,
+    kernels: tuple[str, ...],
+    step: Callable[[], tuple[tuple[str, bool], ...]],
+    state: Callable[[], tuple[np.ndarray, float, float]],
+    param_name: str,
+    n_vertices: int,
+) -> Trace:
+    """Burn-in, lag and keep loop around a sampler's transition.
+
+    ``step()`` makes one iteration and returns a (kernel, accepted) pair per
+    proposal; ``state()`` returns the (mode vector, scalar, log kernel) to
+    record at a kept iteration. Every name in ``kernels`` is counted, even if
+    it never proposes. The driver itself draws no random numbers.
+    """
+    accepts = {k: [0, 0] for k in kernels}
+    kept_graphs: list[LabelledGraph] = []
+    kept_params: list[float] = []
+    kept_logk: list[float] = []
+    total = cfg.burn_in + cfg.n_samples * cfg.lag
+    for it in range(total):
+        for key, accepted in step():
+            accepts[key][1] += 1
+            if accepted:
+                accepts[key][0] += 1
+        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.lag == cfg.lag - 1:
+            mode_vec, param, logk = state()
+            kept_graphs.append(LabelledGraph.from_vector(n_vertices, mode_vec))
+            kept_params.append(param)
+            kept_logk.append(logk)
+    return Trace(
+        graphs=kept_graphs,
+        params=np.array(kept_params),
+        log_kernels=np.array(kept_logk),
+        param_name=param_name,
+        n_vertices=n_vertices,
+        accept_counts={k: (v[0], v[1]) for k, v in accepts.items()},
+        config=cfg,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -471,55 +517,33 @@ def fit_cer_cer(pop: GraphPopulation, hyper: CerCerHyper, cfg: McmcConfig) -> Tr
             + (n * ne - dsum_) * log(1.0 - alpha_)
         )
 
-    accepts = {"flip": [0, 0], "empirical": [0, 0], "alpha_walk": [0, 0]}
-    kept_graphs: list[LabelledGraph] = []
-    kept_alpha: list[float] = []
-    kept_logk: list[float] = []
-
-    total = cfg.burn_in + cfg.n_samples * cfg.lag
-    for it in range(total):
+    def step():
+        nonlocal mode_vec, d0, dsum, alpha
         # Mode update.
-        use_flip = rng.random() < cfg.kernel_mix_weight
-        if use_flip:
-            mask = (rng.random(ne) < tau).astype(np.uint8)
-            cand = mode_vec ^ mask
-            log_q_diff = 0.0
-            key = "flip"
-        else:
-            cand = empirical.propose(rng)
-            log_q_diff = empirical.log_q(mode_vec) - empirical.log_q(cand)
-            key = "empirical"
+        key, cand, log_q_diff = empirical.mode_move(mode_vec, cfg.kernel_mix_weight, tau, rng)
         d0_c = int(np.count_nonzero(cand != g0_vec))
         dsum_c = int(np.count_nonzero(data != cand))
         lw_lik = log(alpha) - log(1.0 - alpha)
         log_ratio = (d0_c - d0) * lw_prior + (dsum_c - dsum) * lw_lik + log_q_diff
-        accepts[key][1] += 1
-        if log(rng.random()) < log_ratio:
+        mode_ok = log(rng.random()) < log_ratio
+        if mode_ok:
             mode_vec, d0, dsum = cand, d0_c, dsum_c
-            accepts[key][0] += 1
 
         # Alpha update (reflected walk is symmetric).
         alpha_c = reflected_walk(alpha, 0.0, 0.5, cfg.step_sizes_upsilon, rng)
-        accepts["alpha_walk"][1] += 1
+        alpha_ok = False
         if 0.0 < alpha_c < 0.5:
             log_ratio = log_target(d0, dsum, alpha_c) - log_target(d0, dsum, alpha)
-            if log(rng.random()) < log_ratio:
+            alpha_ok = log(rng.random()) < log_ratio
+            if alpha_ok:
                 alpha = alpha_c
-                accepts["alpha_walk"][0] += 1
+        return (key, mode_ok), ("alpha_walk", alpha_ok)
 
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.lag == cfg.lag - 1:
-            kept_graphs.append(LabelledGraph.from_vector(n_vertices, mode_vec))
-            kept_alpha.append(alpha)
-            kept_logk.append(log_target(d0, dsum, alpha))
+    def state():
+        return mode_vec, alpha, log_target(d0, dsum, alpha)
 
-    return Trace(
-        graphs=kept_graphs,
-        params=np.array(kept_alpha),
-        log_kernels=np.array(kept_logk),
-        param_name="alpha",
-        n_vertices=n_vertices,
-        accept_counts={k: (v[0], v[1]) for k, v in accepts.items()},
-        config=cfg,
+    return _run_chain(
+        cfg, ("flip", "empirical", "alpha_walk"), step, state, "alpha", n_vertices
     )
 
 
@@ -594,32 +618,22 @@ def sample_snf_prior_mh(
     g0_vec = hyper.g0.to_vector()
     phi = hyper.metric.apply_phi
 
-    state = g0_vec.copy()
-    energy = float(phi(engine.dist_to(state[None, :], g0_vec)[0]))
-    accepts = [0, 0]
-    kept: list[LabelledGraph] = []
-    kept_logk: list[float] = []
-    total = cfg.burn_in + cfg.n_samples * cfg.lag
-    for it in range(total):
-        mask = (rng.random(ne) < tau).astype(np.uint8)
-        cand = state ^ mask
+    current = g0_vec.copy()
+    energy = float(phi(engine.dist_to(current[None, :], g0_vec)[0]))
+
+    def step():
+        nonlocal current, energy
+        cand = _flip(current, tau, rng)
         energy_c = float(phi(engine.dist_to(cand[None, :], g0_vec)[0]))
-        accepts[1] += 1
-        if log(rng.random()) < -hyper.gamma0 * (energy_c - energy):
-            state, energy = cand, energy_c
-            accepts[0] += 1
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.lag == cfg.lag - 1:
-            kept.append(LabelledGraph.from_vector(n_vertices, state))
-            kept_logk.append(-hyper.gamma0 * energy)
-    return Trace(
-        graphs=kept,
-        params=np.full(len(kept), hyper.gamma0),
-        log_kernels=np.array(kept_logk),
-        param_name="gamma",
-        n_vertices=n_vertices,
-        accept_counts={"flip": (accepts[0], accepts[1])},
-        config=cfg,
-    )
+        accepted = log(rng.random()) < -hyper.gamma0 * (energy_c - energy)
+        if accepted:
+            current, energy = cand, energy_c
+        return (("flip", accepted),)
+
+    def state():
+        return current, hyper.gamma0, -hyper.gamma0 * energy
+
+    return _run_chain(cfg, ("flip",), step, state, "gamma", n_vertices)
 
 
 def fit_sn_sn(
@@ -672,30 +686,16 @@ def fit_sn_sn(
     e_prior = prior_energy(mode_vec)
     aux, aux_d = snf_mh_matrix(mode_vec, gamma, engine, n, aux_steps, tau, rng)
     s_aux = float(phi(aux_d).sum())
-    s_aux_h = int(_hamming_rows(aux, mode_vec).sum())
+    s_aux_h = int(np.count_nonzero(aux != mode_vec))
 
-    accepts = {"flip": [0, 0], "empirical": [0, 0]}
-    kept_graphs: list[LabelledGraph] = []
-    kept_gamma: list[float] = []
-    kept_logk: list[float] = []
-
-    total = cfg.burn_in + cfg.n_samples * cfg.lag
-    for it in range(total):
-        use_flip = rng.random() < cfg.kernel_mix_weight
-        if use_flip:
-            mask = (rng.random(ne) < tau).astype(np.uint8)
-            cand = mode_vec ^ mask
-            log_q_diff = 0.0
-            key = "flip"
-        else:
-            cand = empirical.propose(rng)
-            log_q_diff = empirical.log_q(mode_vec) - empirical.log_q(cand)
-            key = "empirical"
+    def step():
+        nonlocal mode_vec, gamma, s_aux, s_aux_h, s_data, e_prior
+        key, cand, log_q_diff = empirical.mode_move(mode_vec, cfg.kernel_mix_weight, tau, rng)
         gamma_c = reflected_walk(gamma, 0.0, None, cfg.step_sizes_upsilon, rng)
 
         aux_c, aux_dc = snf_mh_matrix(cand, gamma_c, engine, n, aux_steps, tau, rng)
         s_aux_c = float(phi(aux_dc).sum())
-        s_aux_h_c = int(_hamming_rows(aux_c, cand).sum())
+        s_aux_h_c = int(np.count_nonzero(aux_c != cand))
         s_data_c = data_energy(cand)
         e_prior_c = prior_energy(cand)
 
@@ -711,30 +711,18 @@ def fit_sn_sn(
             raise NonFiniteLogRatioError(
                 "exchange ratio is NaN; check the metric/phi combination"
             )
-        accepts[key][1] += 1
-        if log(rng.random()) < log_ratio:
+        accepted = log(rng.random()) < log_ratio
+        if accepted:
             mode_vec, gamma = cand, gamma_c
-            aux, aux_d = aux_c, aux_dc
             s_aux, s_aux_h = s_aux_c, s_aux_h_c
             s_data, e_prior = s_data_c, e_prior_c
-            accepts[key][0] += 1
+        return ((key, accepted),)
 
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.lag == cfg.lag - 1:
-            kept_graphs.append(LabelledGraph.from_vector(n_vertices, mode_vec))
-            kept_gamma.append(gamma)
-            kept_logk.append(
-                -hyper.gamma0 * e_prior + hyper.gamma_prior.log_pdf(gamma) - gamma * s_data
-            )
+    def state():
+        logk = -hyper.gamma0 * e_prior + hyper.gamma_prior.log_pdf(gamma) - gamma * s_data
+        return mode_vec, gamma, logk
 
-    return Trace(
-        graphs=kept_graphs,
-        params=np.array(kept_gamma),
-        log_kernels=np.array(kept_logk),
-        param_name="gamma",
-        n_vertices=n_vertices,
-        accept_counts={k: (v[0], v[1]) for k, v in accepts.items()},
-        config=cfg,
-    )
+    return _run_chain(cfg, ("flip", "empirical"), step, state, "gamma", n_vertices)
 
 
 def exact_posterior_snf(

@@ -145,9 +145,7 @@ def _space_distance_table(n_vertices: int, kind: str, t: float) -> np.ndarray:
     size = len(space)
     if kind == "hamming":
         bits = np.arange(size, dtype=np.uint64)
-        table = np.zeros((size, size), dtype=np.float64)
-        for b in range(size):
-            table[b] = _popcount_array(bits ^ np.uint64(b))
+        table = np.bitwise_count(bits[:, None] ^ bits[None, :]).astype(np.float64)
     else:
         kernels = np.stack([heat_kernel(g, t) for g in space])
         flat = kernels.reshape(size, -1)
@@ -157,15 +155,6 @@ def _space_distance_table(n_vertices: int, kind: str, t: float) -> np.ndarray:
             table[b] = (diff * diff).sum(axis=1)
     table.flags.writeable = False
     return table
-
-
-def _popcount_array(arr: np.ndarray) -> np.ndarray:
-    out = np.zeros(arr.shape, dtype=np.float64)
-    v = arr.copy()
-    while v.any():
-        out += v & 1
-        v >>= np.uint64(1)
-    return out
 
 
 def space_distances(mode: LabelledGraph, metric: MetricSpec) -> np.ndarray:
