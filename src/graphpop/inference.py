@@ -38,7 +38,7 @@ from .graphs import (
     n_pairs,
     vector_to_bits,
 )
-from .metrics import MetricSpec, heat_kernel
+from .metrics import MetricSpec, heat_kernel, heat_kernels
 from .models import (
     SnfParams,
     _logsumexp,
@@ -135,7 +135,8 @@ class McmcConfig:
     """Sampler tuning knobs.
 
     ``flip_prob_tau`` and ``aux_inner_steps`` of ``None`` resolve at fit time to
-    1/N_e (one expected flip per proposal) and 20*N_e inner steps respectively.
+    1/N_e (one expected flip per proposal) and 20*N_e inner steps respectively;
+    the default tau raises ``DomainError`` when N_e = 0 (a single vertex).
     ``kernel_mix_weight`` is the probability of the independent-flip kernel; the
     complementary move is the empirical-Bernoulli independence kernel.
     """
@@ -165,7 +166,14 @@ class McmcConfig:
             raise DomainError("aux_inner_steps must be positive")
 
     def resolved_tau(self, ne: int) -> float:
-        return self.flip_prob_tau if self.flip_prob_tau is not None else 1.0 / ne
+        if self.flip_prob_tau is not None:
+            return self.flip_prob_tau
+        if ne == 0:
+            raise DomainError(
+                "the default flip probability 1/N_e is undefined for a graph with no "
+                "vertex pairs; set flip_prob_tau"
+            )
+        return 1.0 / ne
 
     def resolved_aux_steps(self, ne: int) -> int:
         return self.aux_inner_steps if self.aux_inner_steps is not None else 20 * ne
@@ -325,14 +333,8 @@ class _MetricEngine:
         mode_kernel = heat_kernel(
             LabelledGraph(self.n_vertices, vector_to_bits(mode_vec)), self.metric.t
         )
-        out = np.empty(mat.shape[0], dtype=np.float64)
-        for i in range(mat.shape[0]):
-            k = heat_kernel(
-                LabelledGraph(self.n_vertices, vector_to_bits(mat[i])), self.metric.t
-            )
-            diff = k - mode_kernel
-            out[i] = (diff * diff).sum()
-        return out
+        diff = heat_kernels(mat, self.n_vertices, self.metric.t) - mode_kernel
+        return (diff * diff).reshape(mat.shape[0], -1).sum(axis=1)
 
 
 def snf_mh_matrix(
@@ -358,20 +360,28 @@ def snf_mh_matrix(
         states = start.copy()
     d = engine.dist_to(states, mode_vec)
     phi = engine.metric.apply_phi
-    # Bound the pregenerated proposal block to ~4M bytes of mask bits.
+    # Bound the pregenerated proposal block to 4M mask entries: ~4 MB of uint8
+    # masks, drawn from ~32 MB of float64 uniforms.
     block = max(1, min(steps, (1 << 22) // max(1, n_chains * engine.ne)))
     done = 0
     while done < steps:
         m = min(block, steps - done)
         masks = (rng.random((m, n_chains, engine.ne)) < tau).astype(np.uint8)
         logu = np.log(rng.random((m, n_chains)))
+        # A chain whose mask is empty proposes its own state, which log u < 0
+        # always accepts unchanged, so only chains that flip something run.
+        moves = masks.any(axis=2)
         for t in range(m):
-            cand = states ^ masks[t]
+            rows = np.flatnonzero(moves[t])
+            if rows.size == 0:
+                continue
+            cand = (states ^ masks[t])[rows]
             dc = engine.dist_to(cand, mode_vec)
-            acc = logu[t] < -gamma * (phi(dc) - phi(d))
+            acc = logu[t, rows] < -gamma * (phi(dc) - phi(d[rows]))
             if acc.any():
-                states[acc] = cand[acc]
-                d[acc] = dc[acc]
+                moved = rows[acc]
+                states[moved] = cand[acc]
+                d[moved] = dc[acc]
         done += m
     return states, d
 

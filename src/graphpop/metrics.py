@@ -15,7 +15,13 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import EigDecompositionFailureError, SizeMismatchError
-from .graphs import GraphPopulation, LabelledGraph
+from .graphs import (
+    GraphPopulation,
+    LabelledGraph,
+    bits_to_vector,
+    n_pairs,
+    pair_positions,
+)
 
 
 def hamming(g1: LabelledGraph, g2: LabelledGraph) -> int:
@@ -31,15 +37,36 @@ def laplacian(g: LabelledGraph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
-@lru_cache(maxsize=65536)
-def _heat_kernel_cached(n_vertices: int, edge_bits: int, t: float) -> np.ndarray:
-    lap = laplacian(LabelledGraph(n_vertices, edge_bits))
+def heat_kernels(mat: np.ndarray, n_vertices: int, t: float) -> np.ndarray:
+    """exp(-tL) for every row of a (k, n_pairs) uint8 edge matrix, as a (k, N, N) stack.
+
+    One batched symmetric eigendecomposition covers all k Laplacians; row i
+    equals ``heat_kernel`` of the graph with edge vector ``mat[i]`` bit for bit.
+    """
+    k = mat.shape[0]
+    ii, jj = pair_positions(n_vertices)
+    adj = np.zeros((k, n_vertices, n_vertices), dtype=np.float64)
+    adj[:, ii, jj] = mat
+    adj[:, jj, ii] = mat
+    # Degrees go onto a zero matrix before subtracting, as in ``laplacian``:
+    # negating the adjacency would write -0.0 where it has 0.0 and change bits.
+    lap = np.zeros_like(adj)
+    diag = np.arange(n_vertices)
+    lap[:, diag, diag] = adj.sum(axis=2)
+    lap -= adj
     try:
         eigvals, eigvecs = np.linalg.eigh(lap)
     except np.linalg.LinAlgError as exc:
         raise EigDecompositionFailureError(str(exc)) from exc
-    kernel = (eigvecs * np.exp(-t * eigvals)) @ eigvecs.T
-    kernel = 0.5 * (kernel + kernel.T)
+    # matmul, not einsum: it reproduces the single-matrix product bit for bit.
+    kernels = (eigvecs * np.exp(-t * eigvals)[:, None, :]) @ eigvecs.swapaxes(1, 2)
+    return 0.5 * (kernels + kernels.swapaxes(1, 2))
+
+
+@lru_cache(maxsize=4096)
+def _heat_kernel_cached(n_vertices: int, edge_bits: int, t: float) -> np.ndarray:
+    vec = bits_to_vector(edge_bits, n_pairs(n_vertices))
+    kernel = heat_kernels(vec[None, :], n_vertices, t)[0]
     kernel.flags.writeable = False
     return kernel
 

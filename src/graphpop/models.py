@@ -24,7 +24,7 @@ from .errors import (
     SpaceTooLargeError,
 )
 from .graphs import GraphPopulation, LabelledGraph, enumerate_graph_space, n_pairs
-from .metrics import MetricSpec, hamming, heat_kernel
+from .metrics import MetricSpec, hamming, heat_kernels
 
 
 @dataclass(frozen=True)
@@ -147,8 +147,8 @@ def _space_distance_table(n_vertices: int, kind: str, t: float) -> np.ndarray:
         bits = np.arange(size, dtype=np.uint64)
         table = np.bitwise_count(bits[:, None] ^ bits[None, :]).astype(np.float64)
     else:
-        kernels = np.stack([heat_kernel(g, t) for g in space])
-        flat = kernels.reshape(size, -1)
+        mat = GraphPopulation(space).to_matrix()
+        flat = heat_kernels(mat, n_vertices, t).reshape(size, -1)
         table = np.zeros((size, size), dtype=np.float64)
         for b in range(size):
             diff = flat - flat[b]

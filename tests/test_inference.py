@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import graph_marginal_from_trace, random_graph, tv_distance
+from graphpop import metrics
 from graphpop.errors import (
     DomainError,
     EmptyTraceError,
@@ -20,6 +21,7 @@ from graphpop.inference import (
     SnSnHyper,
     Trace,
     TruncatedUniformPrior,
+    _MetricEngine,
     divide_and_conquer_fit,
     exact_posterior_cer,
     exact_posterior_snf,
@@ -30,6 +32,7 @@ from graphpop.inference import (
     propose_mode_flip,
     reflected_walk,
     sample_snf_prior_mh,
+    snf_mh_matrix,
     spawn_rng,
 )
 from graphpop.metrics import MetricSpec, hamming
@@ -558,3 +561,84 @@ class TestDivideAndConquer:
             if hamming(result.mode, truth) <= 2:
                 hits += 1
         assert hits >= 18
+
+
+def _reference_snf_mh(mode_vec, gamma, metric, n_vertices, n_chains, steps, tau, rng, start=None):
+    """The large-N flip-kernel step loop with one distance per chain and step.
+
+    Every chain is evaluated at every step, empty proposals included, with each
+    distance computed graph by graph through ``MetricSpec.distance``.
+    """
+    mode = LabelledGraph.from_vector(n_vertices, mode_vec)
+
+    def dist_to(mat):
+        return np.array(
+            [metric.distance(LabelledGraph.from_vector(n_vertices, row), mode) for row in mat]
+        )
+
+    ne = mode_vec.shape[0]
+    states = np.tile(mode_vec, (n_chains, 1)) if start is None else start.copy()
+    d = dist_to(states)
+    phi = metric.apply_phi
+    block = max(1, min(steps, (1 << 22) // max(1, n_chains * ne)))
+    done = 0
+    while done < steps:
+        m = min(block, steps - done)
+        masks = (rng.random((m, n_chains, ne)) < tau).astype(np.uint8)
+        logu = np.log(rng.random((m, n_chains)))
+        for t in range(m):
+            cand = states ^ masks[t]
+            dc = dist_to(cand)
+            acc = logu[t] < -gamma * (phi(dc) - phi(d))
+            states[acc] = cand[acc]
+            d[acc] = dc[acc]
+        done += m
+    return states, d
+
+
+class TestSnfMhMatrixLargePath:
+    N_VERTICES, N_CHAINS, STEPS = 8, 6, 40
+    TAU = 1.0 / 28  # 1/N_e at N = 8: about e^-1 of the proposals flip nothing
+
+    @pytest.mark.parametrize(
+        "metric, gamma",
+        [
+            (HAMMING, 1.0),
+            (DIFFUSION, 4.0),
+            (MetricSpec(kind="diffusion", t=0.5, phi="square"), 20.0),
+        ],
+    )
+    @pytest.mark.parametrize("with_start", [False, True])
+    def test_matches_reference_step_loop(self, metric, gamma, with_start):
+        rng = spawn_rng(31)
+        mode_vec = random_graph(self.N_VERTICES, rng, p=0.3).to_vector()
+        start = None
+        if with_start:
+            start = np.stack(
+                [random_graph(self.N_VERTICES, rng).to_vector() for _ in range(self.N_CHAINS)]
+            )
+        engine = _MetricEngine(metric, self.N_VERTICES)
+        assert not engine.small
+        args = (self.N_CHAINS, self.STEPS, self.TAU)
+
+        masks = spawn_rng(32).random((self.STEPS, self.N_CHAINS, 28)) < self.TAU
+        flips = masks.any(axis=2)
+        assert flips.any() and not flips.all()
+
+        states, d = snf_mh_matrix(mode_vec, gamma, engine, *args, spawn_rng(32), start)
+        ref_states, ref_d = _reference_snf_mh(
+            mode_vec, gamma, metric, self.N_VERTICES, *args, spawn_rng(32), start
+        )
+        assert states.dtype == np.uint8
+        assert np.array_equal(states, ref_states)
+        assert np.array_equal(d, ref_d)
+        initial = np.tile(mode_vec, (self.N_CHAINS, 1)) if start is None else start
+        assert not np.array_equal(states, initial)
+
+    def test_diffusion_chain_caches_only_the_mode_kernel(self):
+        rng = spawn_rng(33)
+        mode_vec = random_graph(self.N_VERTICES, rng, p=0.3).to_vector()
+        engine = _MetricEngine(DIFFUSION, self.N_VERTICES)
+        metrics._heat_kernel_cached.cache_clear()
+        snf_mh_matrix(mode_vec, 4.0, engine, self.N_CHAINS, self.STEPS, self.TAU, rng)
+        assert metrics._heat_kernel_cached.cache_info().currsize <= 1

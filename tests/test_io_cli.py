@@ -222,6 +222,17 @@ class TestCli:
         manifest = json.loads((out / "manifest.json").read_text())
         assert manifest["outputs"] == ["population.ndjson"]
 
+    def test_simulate_snf_on_one_vertex_is_a_domain_error(self, tmp_path, capsys):
+        mode = tmp_path / "mode.csv"
+        gio.write_adjacency_csv(LabelledGraph(1, 0), str(mode))
+        cfg = tmp_path / "sim.cfg"
+        cfg.write_text(f"kind=snf\nn_vertices=1\nn_graphs=3\nmode={mode}\n")
+        code = main(["simulate", "--config", str(cfg), "--out", str(tmp_path / "out")])
+        parsed = json.loads(capsys.readouterr().err.strip())
+        assert code == 1
+        assert parsed["error"] == "DomainError"
+        assert "flip_prob_tau" in parsed["message"]
+
     def test_fit_cer_degenerate_population(self, tmp_path):
         g = LabelledGraph.from_edges(4, [(0, 1), (2, 3)])
         data = write_population_file(tmp_path, [g, g, g])

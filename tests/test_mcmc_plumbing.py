@@ -15,7 +15,7 @@ from graphpop.diagnostics import (
 )
 from graphpop.errors import DomainError
 from graphpop.experiments import StudyConfig, robustness_study
-from graphpop.graphs import ErdosRenyi, GraphPopulation
+from graphpop.graphs import ErdosRenyi, GraphPopulation, LabelledGraph
 from graphpop.inference import (
     CerCerHyper,
     McmcConfig,
@@ -84,6 +84,31 @@ class TestInnerChainKnobs:
         # Data (1 call), fit (1 + 5 iterations), PPC (100 draws), chi-squared (2 draws).
         assert len(seen) == 109
         assert set(seen) == {(7, 0.25)}
+
+
+class TestNoVertexPairs:
+    """One vertex means N_e = 0, where the default tau = 1/N_e does not exist."""
+
+    ONE = LabelledGraph(1, 0)
+    POP = GraphPopulation((ONE, ONE, ONE))
+    CFG = McmcConfig(n_samples=5)
+
+    def test_resolved_tau_raises_only_for_the_default(self):
+        with pytest.raises(DomainError):
+            self.CFG.resolved_tau(0)
+        assert McmcConfig(n_samples=5, flip_prob_tau=0.3).resolved_tau(0) == 0.3
+
+    def test_fit_cer_cer(self):
+        with pytest.raises(DomainError):
+            fit_cer_cer(self.POP, CerCerHyper(g0=self.ONE, alpha0=0.1), self.CFG)
+
+    def test_fit_sn_sn(self):
+        with pytest.raises(DomainError):
+            fit_sn_sn(self.POP, SnSnHyper(g0=self.ONE, gamma0=1.0), self.CFG, 0.1)
+
+    def test_sample_snf_prior_mh(self):
+        with pytest.raises(DomainError):
+            sample_snf_prior_mh(SnSnHyper(g0=self.ONE, gamma0=1.0), self.CFG)
 
 
 class TestAcceptanceBookkeeping:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_graph
 from graphpop.errors import SizeMismatchError
@@ -14,6 +16,7 @@ from graphpop.metrics import (
     distance_matrix,
     hamming,
     heat_kernel,
+    heat_kernels,
     laplacian,
 )
 
@@ -96,6 +99,37 @@ class TestHeatKernel:
     def test_rejects_nonpositive_t(self):
         with pytest.raises(ValueError):
             heat_kernel(LabelledGraph(3, 0), 0.0)
+
+
+def _reference_heat_kernel(g, t):
+    # The single-matrix eigendecomposition route, kept as the bit-level reference.
+    eigvals, eigvecs = np.linalg.eigh(laplacian(g))
+    kernel = (eigvecs * np.exp(-t * eigvals)) @ eigvecs.T
+    return 0.5 * (kernel + kernel.T)
+
+
+class TestHeatKernels:
+    @settings(deadline=None, max_examples=60)
+    @given(
+        n=st.integers(1, 20),
+        k=st.integers(1, 6),
+        p=st.floats(0.0, 1.0),
+        t=st.sampled_from([0.3, 1.0, 2.5]),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_rows_equal_single_graph_kernels(self, n, k, p, t, seed):
+        rng = np.random.default_rng(seed)
+        mat = (rng.random((k, n * (n - 1) // 2)) < p).astype(np.uint8)
+        stack = heat_kernels(mat, n, t)
+        assert stack.shape == (k, n, n)
+        for row, kernel in zip(mat, stack):
+            g = LabelledGraph.from_vector(n, row)
+            assert np.array_equal(kernel, heat_kernel(g, t))
+            assert np.array_equal(kernel, _reference_heat_kernel(g, t))
+
+    def test_cached_kernel_is_read_only(self):
+        k = heat_kernel(LabelledGraph.from_edges(3, [(0, 1)]), 1.0)
+        assert not k.flags.writeable
 
 
 class TestDiffusionDistance:
