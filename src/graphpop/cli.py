@@ -70,13 +70,14 @@ from .inference import (
     TruncatedUniformPrior,
     fit_cer_cer,
     fit_sn_sn,
+    plugin_alpha_tilde,
     posterior_summary,
-    snf_sample_matrix,
+    sample_matrix,
     spawn_rng,
 )
 from .io import ConfigKey, _parse_choice, _parse_float, _parse_int, _parse_ints_csv, _parse_str
 from .metrics import MetricSpec, classical_mds, distance_matrix
-from .models import CerParams, SnfParams, cer_sample_matrix, sample_frechet_mean
+from .models import CerParams, SnfParams, sample_frechet_mean
 
 _VALIDATION_ERRORS = (
     ConfigError,
@@ -169,12 +170,11 @@ def _cmd_simulate(args) -> int:
         if mode.n_vertices != n:
             raise SchemaError(f"mode file has n={mode.n_vertices}, config says {n}", field="mode")
         if kind == "cer":
-            mat = cer_sample_matrix(CerParams(mode, values["alpha"]), count, rng)
+            params = CerParams(mode, values["alpha"])
         else:
             params = SnfParams(mode, values["gamma"], _metric_from(values))
-            knobs = McmcConfig(n_samples=0, aux_inner_steps=values["inner_steps"])
-            steps, tau = knobs.resolved_aux_steps(mode.n_pairs), knobs.resolved_tau(mode.n_pairs)
-            mat = snf_sample_matrix(params, count, steps, tau, rng)
+        knobs = McmcConfig(n_samples=0, aux_inner_steps=values["inner_steps"])
+        mat = sample_matrix(params, count, rng, knobs)
         graphs = tuple(LabelledGraph.from_vector(n, row) for row in mat)
     pop = GraphPopulation(graphs, tuple(f"g{k + 1}" for k in range(count)))
     pop_path = f"{out}/population.ndjson"
@@ -235,6 +235,10 @@ def _mcmc_from(cfg: dict, upsilons) -> McmcConfig:
     )
 
 
+def _cer_hyper(cfg: dict, g0: LabelledGraph) -> CerCerHyper:
+    return CerCerHyper(g0=g0, alpha0=cfg["alpha0"], beta_a=cfg["beta_a"], beta_b=cfg["beta_b"])
+
+
 def _write_fit_outputs(out: str, cfg: dict, trace, summary_extra: dict, started: str) -> None:
     gio.write_trace(trace, f"{out}/trace.ndjson")
     summ = posterior_summary(trace)
@@ -271,8 +275,7 @@ def _cmd_fit_cer(args) -> int:
     cfg, pop, g0 = _load_fit_inputs(args)
     out = gio.ensure_dir(cfg["out"])
     started = _now()
-    hyper = CerCerHyper(g0=g0, alpha0=cfg["alpha0"], beta_a=cfg["beta_a"], beta_b=cfg["beta_b"])
-    trace = fit_cer_cer(pop, hyper, _mcmc_from(cfg, cfg["upsilons"]))
+    trace = fit_cer_cer(pop, _cer_hyper(cfg, g0), _mcmc_from(cfg, cfg["upsilons"]))
     _write_fit_outputs(out, cfg, trace, {"model": "cer"}, started)
     return 0
 
@@ -292,9 +295,7 @@ def _cmd_fit_sn(args) -> int:
     # CER/CER pre-fit, unless the config pins alpha_tilde.
     alpha_tilde = cfg["alpha_tilde"]
     if alpha_tilde is None:
-        pre_hyper = CerCerHyper(g0=g0, alpha0=cfg["alpha0"], beta_a=cfg["beta_a"], beta_b=cfg["beta_b"])
-        pre = fit_cer_cer(pop, pre_hyper, _mcmc_from(cfg, cfg["upsilons"]))
-        alpha_tilde = float(np.clip(pre.params.mean(), 1e-6, 0.5 - 1e-6))
+        alpha_tilde = plugin_alpha_tilde(pop, _cer_hyper(cfg, g0), _mcmc_from(cfg, cfg["upsilons"]))
 
     gamma_ups = cfg["gamma_upsilons"]
     if gamma_ups is None:
@@ -491,17 +492,8 @@ def _cmd_experiment(args) -> int:
         seed=values["seed"],
         data_alpha=values["data_alpha"],
         data_gamma=values["data_gamma"],
-        metric=MetricSpec(kind=values["metric"], t=values["t"], phi=values["phi"]),
-        mcmc=McmcConfig(
-            n_samples=values["n_samples"],
-            burn_in=values["burn_in"],
-            lag=values["lag"],
-            flip_prob_tau=values["tau"],
-            kernel_mix_weight=values["kernel_mix_weight"],
-            step_sizes_upsilon=values["upsilons"],
-            aux_inner_steps=values["aux_inner_steps"],
-            seed=values["seed"],
-        ),
+        metric=_metric_from(values),
+        mcmc=_mcmc_from(values, values["upsilons"]),
         alpha_tilde=values["alpha_tilde"],
         test_size=values["test_size"],
         n_predictive=values["n_predictive"],

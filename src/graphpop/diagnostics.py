@@ -19,9 +19,9 @@ from scipy import stats as sstats
 
 from .errors import DomainError, EmptyTraceError, TooFewObservationsError
 from .graphs import GraphPopulation, LabelledGraph, n_pairs, pair_positions
-from .inference import McmcConfig, Trace, _MetricEngine, snf_mh_matrix
+from .inference import McmcConfig, Trace, _MetricEngine, sample_matrix, snf_mh_matrix
 from .metrics import MetricSpec
-from .models import CerParams, cer_sample_matrix
+from .models import CerParams, SnfParams
 
 
 # ---------------------------------------------------------------------------
@@ -87,26 +87,19 @@ def _simulate_population(
     size: int,
     rng: np.random.Generator,
     metric: Optional[MetricSpec],
-    inner_steps: int,
-    tau: float,
+    knobs: McmcConfig,
 ) -> np.ndarray:
-    if model == "cer":
-        return cer_sample_matrix(CerParams(mode, theta), size, rng)
-    engine = _MetricEngine(metric, mode.n_vertices)
-    states, _ = snf_mh_matrix(
-        mode.to_vector(), theta, engine, size, inner_steps, tau, rng
-    )
-    return states
+    params = CerParams(mode, theta) if model == "cer" else SnfParams(mode, theta, metric)
+    return sample_matrix(params, size, rng, knobs)
 
 
-def _resolve_sim_knobs(model, metric, inner_steps, tau, n_vertices):
+def _sim_knobs(model, metric, inner_steps, tau) -> McmcConfig:
+    """Validated inner-chain knobs; ``None`` defaults resolve per SNF draw."""
     if model not in ("cer", "snf"):
         raise DomainError(f"model must be 'cer' or 'snf', got {model!r}")
     if model == "snf" and metric is None:
         raise DomainError("SNF replicate simulation needs the fitted metric")
-    knobs = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
-    ne = n_pairs(n_vertices)
-    return knobs.resolved_aux_steps(ne), knobs.resolved_tau(ne)
+    return McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
 
 
 # ---------------------------------------------------------------------------
@@ -144,7 +137,7 @@ def posterior_predictive_check(
     if k_draws < 100:
         raise DomainError("k_draws must be at least 100 for a usable tail estimate")
     n_vertices = pop.n_vertices
-    inner_steps, tau = _resolve_sim_knobs(model, metric, inner_steps, tau, n_vertices)
+    knobs = _sim_knobs(model, metric, inner_steps, tau)
     eta0 = statistic_of_population(stat, pop.to_matrix(), n_vertices)
     idx = rng.integers(len(trace), size=k_draws)
     draws = np.empty(k_draws)
@@ -156,8 +149,7 @@ def posterior_predictive_check(
             len(pop),
             rng,
             metric,
-            inner_steps,
-            tau,
+            knobs,
         )
         draws[out_i] = statistic_of_population(stat, rep, n_vertices)
     p_hi = float((draws >= eta0).mean())
@@ -253,7 +245,7 @@ def bayes_chi2(
             f"{n} observations cannot fill {cfg.n_bins} bins meaningfully"
         )
     n_vertices = pop.n_vertices
-    inner_steps, tau = _resolve_sim_knobs(model, metric, inner_steps, tau, n_vertices)
+    knobs = _sim_knobs(model, metric, inner_steps, tau)
     y_obs = statistic_values(stat, pop.to_matrix(), n_vertices)
     if max_draws is not None and len(trace) > max_draws:
         draw_idx = rng.integers(len(trace), size=max_draws)
@@ -268,8 +260,7 @@ def bayes_chi2(
             n_sims,
             rng,
             metric,
-            inner_steps,
-            tau,
+            knobs,
         )
         sim_vals = statistic_values(stat, sims, n_vertices)
         u = randomized_pit(y_obs, sim_vals, rng)

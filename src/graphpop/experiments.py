@@ -41,14 +41,17 @@ from .inference import (
     McmcConfig,
     SnSnHyper,
     Trace,
+    _MetricEngine,
     fit_cer_cer,
     fit_sn_sn,
+    plugin_alpha_tilde,
     posterior_summary,
-    snf_sample_matrix,
+    sample_matrix,
+    snf_mh_matrix,
     spawn_rng,
 )
 from .metrics import MetricSpec
-from .models import CerParams, SnfParams, cer_sample_matrix
+from .models import CerParams, SnfParams
 
 
 def derive_seed(seed: int, *key: int) -> int:
@@ -128,16 +131,21 @@ def _fit_once(
     cfg: StudyConfig, pop: GraphPopulation, g0: LabelledGraph, fit_seed: int
 ) -> Trace:
     mcmc = replace(cfg.mcmc, seed=fit_seed)
+    cer_hyper = CerCerHyper(g0=g0, alpha0=cfg.data_alpha)
     if cfg.model == "cer":
-        hyper = CerCerHyper(g0=g0, alpha0=cfg.data_alpha)
-        return fit_cer_cer(pop, hyper, mcmc)
+        return fit_cer_cer(pop, cer_hyper, mcmc)
     hyper = SnSnHyper(g0=g0, gamma0=cfg.resolved_gamma, metric=cfg.metric)
-    if cfg.alpha_tilde is not None:
-        alpha_tilde = cfg.alpha_tilde
-    else:
-        pre = fit_cer_cer(pop, CerCerHyper(g0=g0, alpha0=cfg.data_alpha), mcmc)
-        alpha_tilde = float(np.clip(pre.params.mean(), 1e-6, 0.5 - 1e-6))
+    alpha_tilde = cfg.alpha_tilde
+    if alpha_tilde is None:
+        alpha_tilde = plugin_alpha_tilde(pop, cer_hyper, mcmc)
     return fit_sn_sn(pop, hyper, mcmc, alpha_tilde)
+
+
+def _model_params(cfg: StudyConfig, mode: LabelledGraph, theta: Optional[float] = None):
+    """The study's model centred at ``mode``; ``theta`` replaces the data dispersion."""
+    if cfg.model == "cer":
+        return CerParams(mode, cfg.data_alpha if theta is None else theta)
+    return SnfParams(mode, cfg.resolved_gamma if theta is None else theta, cfg.metric)
 
 
 def _simulate_truth_and_data(
@@ -145,17 +153,9 @@ def _simulate_truth_and_data(
 ) -> tuple[LabelledGraph, LabelledGraph, GraphPopulation]:
     """Draw the true mode, a prior mode perturbed from it, and n observations."""
     truth = sample_generator(cfg.generator, cfg.n_vertices, rng)
-    if cfg.model == "cer":
-        params = CerParams(truth, cfg.data_alpha)
-        g0_vec = cer_sample_matrix(params, 1, rng)[0]
-        data = cer_sample_matrix(params, n, rng)
-    else:
-        params = SnfParams(truth, cfg.resolved_gamma, cfg.metric)
-        ne = n_pairs(cfg.n_vertices)
-        steps = cfg.mcmc.resolved_aux_steps(ne)
-        tau = cfg.mcmc.resolved_tau(ne)
-        g0_vec = snf_sample_matrix(params, 1, steps, tau, rng)[0]
-        data = snf_sample_matrix(params, n, steps, tau, rng)
+    params = _model_params(cfg, truth)
+    g0_vec = sample_matrix(params, 1, rng, cfg.mcmc)[0]
+    data = sample_matrix(params, n, rng, cfg.mcmc)
     g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
     pop = GraphPopulation(
         tuple(LabelledGraph.from_vector(cfg.n_vertices, row) for row in data)
@@ -287,21 +287,14 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     Exact for the CER family (a Binomial quantile of the Hamming distance);
     Monte Carlo under the configured metric for the SNF.
     """
-    if cfg.model == "cer":
-        ne = n_pairs(cfg.n_vertices)
-        return float(sstats.binom.ppf(1.0 - cfg.delta, ne, cfg.data_alpha))
-    params = SnfParams(truth, cfg.resolved_gamma, cfg.metric)
     ne = n_pairs(cfg.n_vertices)
-    draws = snf_sample_matrix(
-        params, 2000, cfg.mcmc.resolved_aux_steps(ne), cfg.mcmc.resolved_tau(ne), rng
-    )
-    dists = np.array(
-        [
-            cfg.metric.distance(
-                LabelledGraph.from_vector(cfg.n_vertices, row), truth
-            )
-            for row in draws
-        ]
+    if cfg.model == "cer":
+        return float(sstats.binom.ppf(1.0 - cfg.delta, ne, cfg.data_alpha))
+    steps, tau = cfg.mcmc.resolved_aux_steps(ne), cfg.mcmc.resolved_tau(ne)
+    engine = _MetricEngine(cfg.metric, cfg.n_vertices)
+    # The chains return each draw's distance to the truth (their mode).
+    _, dists = snf_mh_matrix(
+        truth.to_vector(), cfg.resolved_gamma, engine, 2000, steps, tau, rng
     )
     return float(np.quantile(dists, 1.0 - cfg.delta))
 
@@ -331,18 +324,8 @@ def prediction_study(cfg: StudyConfig) -> list[dict]:
             idx = pred_rng.integers(len(trace), size=cfg.n_predictive)
             minima = np.empty(cfg.n_predictive)
             for out_i, trace_i in enumerate(idx):
-                mode, theta = trace.graphs[trace_i], float(trace.params[trace_i])
-                if cfg.model == "cer":
-                    pred_vec = cer_sample_matrix(CerParams(mode, theta), 1, pred_rng)[0]
-                else:
-                    ne = n_pairs(cfg.n_vertices)
-                    pred_vec = snf_sample_matrix(
-                        SnfParams(mode, theta, cfg.metric),
-                        1,
-                        cfg.mcmc.resolved_aux_steps(ne),
-                        cfg.mcmc.resolved_tau(ne),
-                        pred_rng,
-                    )[0]
+                params = _model_params(cfg, trace.graphs[trace_i], float(trace.params[trace_i]))
+                pred_vec = sample_matrix(params, 1, pred_rng, cfg.mcmc)[0]
                 pred = LabelledGraph.from_vector(cfg.n_vertices, pred_vec)
                 minima[out_i] = min(metric.distance(pred, t) for t in test)
             psi = float(np.quantile(minima, 1.0 - cfg.delta))
@@ -401,32 +384,15 @@ def _misspecified_data(
 ) -> tuple[LabelledGraph, GraphPopulation]:
     truth = sample_generator(cfg.generator, cfg.n_vertices, rng)
     if cfg.misspecification == "none":
-        if cfg.model == "cer":
-            mat = cer_sample_matrix(CerParams(truth, cfg.data_alpha), n, rng)
-        else:
-            ne = n_pairs(cfg.n_vertices)
-            mat = snf_sample_matrix(
-                SnfParams(truth, cfg.resolved_gamma, cfg.metric),
-                n,
-                cfg.mcmc.resolved_aux_steps(ne),
-                cfg.mcmc.resolved_tau(ne),
-                rng,
-            )
+        params = _model_params(cfg, truth)
     elif cfg.misspecification == "dependence":
         return truth, dynamic_markov_sample(truth, cfg.persist_p, cfg.flip_p, n, rng)
-    else:  # "metric": generate from the other family
-        if cfg.model == "cer":
-            ne = n_pairs(cfg.n_vertices)
-            diffusion = MetricSpec(kind="diffusion", t=cfg.metric.t)
-            mat = snf_sample_matrix(
-                SnfParams(truth, cfg.resolved_gamma, diffusion),
-                n,
-                cfg.mcmc.resolved_aux_steps(ne),
-                cfg.mcmc.resolved_tau(ne),
-                rng,
-            )
-        else:
-            mat = cer_sample_matrix(CerParams(truth, cfg.data_alpha), n, rng)
+    elif cfg.model == "cer":  # "metric": generate from the other family
+        diffusion = MetricSpec(kind="diffusion", t=cfg.metric.t)
+        params = SnfParams(truth, cfg.resolved_gamma, diffusion)
+    else:
+        params = CerParams(truth, cfg.data_alpha)
+    mat = sample_matrix(params, n, rng, cfg.mcmc)
     pop = GraphPopulation(
         tuple(LabelledGraph.from_vector(cfg.n_vertices, row) for row in mat)
     )
@@ -443,8 +409,7 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
     equal bins when n falls below the default five.
     """
     fit_metric = None if cfg.model == "cer" else cfg.metric
-    ne = n_pairs(cfg.n_vertices)
-    knobs = dict(inner_steps=cfg.mcmc.resolved_aux_steps(ne), tau=cfg.mcmc.resolved_tau(ne))
+    knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
 
     def one(args):
         n, r = args
@@ -452,7 +417,7 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
         chi2_cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, n_bins + 1)))
         rng = spawn_rng(derive_seed(cfg.seed, n, r))
         truth, pop = _misspecified_data(cfg, n, rng)
-        g0_vec = cer_sample_matrix(CerParams(truth, cfg.data_alpha), 1, rng)[0]
+        g0_vec = sample_matrix(CerParams(truth, cfg.data_alpha), 1, rng, cfg.mcmc)[0]
         g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
         trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
         out = {}

@@ -40,9 +40,11 @@ from .graphs import (
 )
 from .metrics import MetricSpec, heat_kernel, heat_kernels
 from .models import (
+    CerParams,
     SnfParams,
     _logsumexp,
     _space_distance_table,
+    cer_sample_matrix,
     sample_frechet_mean,
     space_distances,
 )
@@ -417,22 +419,25 @@ def _snf_mh_small(mode_vec, gamma, engine, n_chains, steps, tau, rng, start):
     return states, dvec[out_bits]
 
 
-def snf_sample_matrix(
-    params: SnfParams,
+def sample_matrix(
+    params: Union[CerParams, SnfParams],
     count: int,
-    inner_steps: int,
-    tau: float,
     rng: np.random.Generator,
+    mcmc: McmcConfig,
 ) -> np.ndarray:
-    """``count`` approximate SNF draws as a (count, n_pairs) uint8 matrix.
+    """``count`` draws from a CER or SNF model as a (count, n_pairs) uint8 matrix.
 
-    Each draw is the endpoint of an independent ``inner_steps``-step flip-kernel
-    Metropolis chain started at the mode.
+    CER draws are exact. Each SNF draw is the endpoint of an independent
+    flip-kernel Metropolis chain started at the mode, run with ``mcmc``'s inner
+    step count and flip probability (resolved only here, so a CER draw never
+    needs them).
     """
+    if isinstance(params, CerParams):
+        return cer_sample_matrix(params, count, rng)
+    ne = params.mode.n_pairs
+    steps, tau = mcmc.resolved_aux_steps(ne), mcmc.resolved_tau(ne)
     engine = _MetricEngine(params.metric, params.mode.n_vertices)
-    states, _ = snf_mh_matrix(
-        params.mode.to_vector(), params.gamma, engine, count, inner_steps, tau, rng
-    )
+    states, _ = snf_mh_matrix(params.mode.to_vector(), params.gamma, engine, count, steps, tau, rng)
     return states
 
 
@@ -555,6 +560,15 @@ def fit_cer_cer(pop: GraphPopulation, hyper: CerCerHyper, cfg: McmcConfig) -> Tr
     return _run_chain(
         cfg, ("flip", "empirical", "alpha_walk"), step, state, "alpha", n_vertices
     )
+
+
+def plugin_alpha_tilde(pop: GraphPopulation, cer_hyper: CerCerHyper, cfg: McmcConfig) -> float:
+    """SN/SN plug-in dispersion: the posterior mean alpha of a CER/CER pre-fit.
+
+    Clipped into the open interval (0, 0.5) that ``fit_sn_sn`` requires.
+    """
+    pre = fit_cer_cer(pop, cer_hyper, cfg)
+    return float(np.clip(pre.params.mean(), 1e-6, 0.5 - 1e-6))
 
 
 @dataclass(frozen=True)
@@ -848,8 +862,7 @@ def divide_and_conquer_fit(
             sub_cfg = replace(cfg, seed=sub_seed)
         if alpha_tilde is None:
             a0 = min(max(1.0 / (1.0 + exp(hyper.gamma0)), 1e-6), 0.5 - 1e-6)
-            pre = fit_cer_cer(sub, CerCerHyper(g0=hyper.g0, alpha0=a0), sub_cfg)
-            at = float(np.clip(pre.params.mean(), 1e-6, 0.5 - 1e-6))
+            at = plugin_alpha_tilde(sub, CerCerHyper(g0=hyper.g0, alpha0=a0), sub_cfg)
         else:
             at = alpha_tilde
         trace = fit_sn_sn(sub, hyper, sub_cfg, at)

@@ -11,7 +11,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Optional
 
 import numpy as np
@@ -128,22 +128,9 @@ def config_hash(config: dict) -> str:
     return hashlib.sha256(canon.encode("utf-8")).hexdigest()
 
 
-def _mcmc_config_dict(cfg: McmcConfig) -> dict:
-    return {
-        "n_samples": cfg.n_samples,
-        "burn_in": cfg.burn_in,
-        "lag": cfg.lag,
-        "flip_prob_tau": cfg.flip_prob_tau,
-        "kernel_mix_weight": cfg.kernel_mix_weight,
-        "step_sizes_upsilon": list(cfg.step_sizes_upsilon),
-        "aux_inner_steps": cfg.aux_inner_steps,
-        "seed": cfg.seed,
-    }
-
-
 def write_trace(trace: Trace, path: str) -> None:
     """Trace NDJSON: a header with the config hash, then one line per kept sample."""
-    cfg_dict = _mcmc_config_dict(trace.config) if trace.config is not None else {}
+    cfg_dict = asdict(trace.config) if trace.config is not None else {}
     header = {
         "type": "trace",
         "config_hash": config_hash(cfg_dict),
@@ -187,19 +174,8 @@ def read_trace(path: str) -> Trace:
         graphs.append(_graph_from_record(n_vertices, rec["edges"], line_no))
         params.append(float(rec["param"]))
         log_kernels.append(float(rec["log_kernel"]))
-    cfg_dict = header.get("config") or None
-    cfg = None
-    if cfg_dict:
-        cfg = McmcConfig(
-            n_samples=cfg_dict["n_samples"],
-            burn_in=cfg_dict["burn_in"],
-            lag=cfg_dict["lag"],
-            flip_prob_tau=cfg_dict["flip_prob_tau"],
-            kernel_mix_weight=cfg_dict["kernel_mix_weight"],
-            step_sizes_upsilon=tuple(cfg_dict["step_sizes_upsilon"]),
-            aux_inner_steps=cfg_dict["aux_inner_steps"],
-            seed=cfg_dict["seed"],
-        )
+    cfg_dict = header.get("config")
+    cfg = McmcConfig(**{f.name: cfg_dict[f.name] for f in fields(McmcConfig)}) if cfg_dict else None
     return Trace(
         graphs=graphs,
         params=np.array(params),
@@ -378,7 +354,6 @@ FIT_SCHEMA: dict[str, ConfigKey] = {
     "gamma_upsilons": ConfigKey(_parse_floats_csv, default=None),
     "aux_inner_steps": ConfigKey(_parse_int(lo=1), default=None),
     "seed": ConfigKey(_parse_int(), default=0),
-    "threads": ConfigKey(_parse_int(lo=1), default=1),
 }
 
 
