@@ -3,8 +3,9 @@
 Subcommands: simulate, fit-cer, fit-sn, frechet, distances, mds, diagnose,
 experiment. Every run writes its outputs plus a manifest (config, hash, seed,
 version, timestamps, file list) under the output directory. Exit codes: 0 on
-success, 1 on validation errors, 2 on runtime failures; errors go to stderr as
-one JSON line.
+success, 2 on runtime failures (a failed eigendecomposition, an internal
+inconsistency, a non-finite log ratio, or any exception outside the package),
+1 on every other error; errors go to stderr as one JSON line.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import fields
 from datetime import datetime, timezone
 from typing import Optional
 
@@ -29,21 +31,11 @@ from .diagnostics import (
 )
 from .errors import (
     ConfigError,
-    DomainError,
-    EmptyPopulationError,
-    EmptyTraceError,
+    EigDecompositionFailureError,
     GraphPopError,
-    IndivisiblePopulationError,
-    InvalidSpecError,
-    NonBinaryEntryError,
-    NonSymmetricError,
-    NonZeroDiagonalError,
-    ParseError,
+    InternalInconsistencyError,
+    NonFiniteLogRatioError,
     SchemaError,
-    SizeMismatchError,
-    SpaceTooLargeError,
-    StepTooLargeError,
-    TooFewObservationsError,
 )
 from .experiments import (
     StudyConfig,
@@ -75,28 +67,11 @@ from .inference import (
     sample_matrix,
     spawn_rng,
 )
-from .io import ConfigKey, _parse_choice, _parse_float, _parse_int, _parse_ints_csv, _parse_str
 from .metrics import MetricSpec, classical_mds, distance_matrix
 from .models import CerParams, SnfParams, sample_frechet_mean
 
-_VALIDATION_ERRORS = (
-    ConfigError,
-    ParseError,
-    SchemaError,
-    InvalidSpecError,
-    DomainError,
-    EmptyPopulationError,
-    EmptyTraceError,
-    SizeMismatchError,
-    SpaceTooLargeError,
-    StepTooLargeError,
-    TooFewObservationsError,
-    IndivisiblePopulationError,
-    NonSymmetricError,
-    NonBinaryEntryError,
-    NonZeroDiagonalError,
-    ValueError,
-)
+# Failures of a run on valid input exit 2; every other package error exits 1.
+_RUNTIME_ERRORS = (EigDecompositionFailureError, InternalInconsistencyError, NonFiniteLogRatioError)
 
 
 def _now() -> str:
@@ -107,6 +82,22 @@ def _fail(exc: Exception, code: int) -> int:
     line = json.dumps({"error": type(exc).__name__, "message": str(exc)})
     print(line, file=sys.stderr)
     return code
+
+
+def _read_config(args, schema) -> dict:
+    """The parsed config of ``args.config``, with ``--out`` overriding its ``out``."""
+    values = gio.read_config(args.config, schema)
+    if args.out:
+        values["out"] = args.out
+    return values
+
+
+def _write_flag_manifest(args, outputs: list[str], started: str) -> None:
+    """Manifest of a flag-driven command: its config is every parsed argument."""
+    config = {k: v for k, v in vars(args).items() if k not in ("func", "command")}
+    gio.write_manifest(
+        f"{args.out}/manifest.json", config, config.get("seed", 0), outputs, started, _now()
+    )
 
 
 def _metric_from(values: dict) -> MetricSpec:
@@ -127,41 +118,15 @@ def _stat_from_name(name: str):
 # simulate
 # ---------------------------------------------------------------------------
 
-SIM_SCHEMA = {
-    "kind": ConfigKey(_parse_choice("er", "sbm", "sw", "rgg", "cer", "snf"), required=True),
-    "out": ConfigKey(_parse_str, default="out"),
-    "n_vertices": ConfigKey(_parse_int(lo=1), required=True),
-    "n_graphs": ConfigKey(_parse_int(lo=1), default=1),
-    "seed": ConfigKey(_parse_int(), default=0),
-    "p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.1),
-    "radius": ConfigKey(_parse_float(lo=0.0), default=0.175),
-    "n_blocks": ConfigKey(_parse_int(lo=1), default=3),
-    "membership_probs": ConfigKey(gio._parse_floats_csv, default=None),
-    "within_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.16),
-    "between_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.075),
-    "lattice_degree": ConfigKey(_parse_int(lo=2), default=2),
-    "rewire_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.2),
-    "mode": ConfigKey(_parse_str, default=None),
-    "alpha": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=0.05),
-    "gamma": ConfigKey(_parse_float(lo=0.0), default=1.0),
-    "metric": ConfigKey(_parse_choice("hamming", "diffusion"), default="hamming"),
-    "t": ConfigKey(_parse_float(lo=0.0), default=1.0),
-    "phi": ConfigKey(_parse_choice("identity", "square"), default="identity"),
-    "inner_steps": ConfigKey(_parse_int(lo=1), default=None),
-}
-
-
 def _cmd_simulate(args) -> int:
-    values = gio.read_config(args.config, SIM_SCHEMA).as_dict()
-    if args.out:
-        values["out"] = args.out
+    values = _read_config(args, gio.SIM_SCHEMA)
     out = gio.ensure_dir(values["out"])
     started = _now()
     rng = spawn_rng(values["seed"])
     n, count = values["n_vertices"], values["n_graphs"]
     kind = values["kind"]
     if kind in ("er", "sbm", "sw", "rgg"):
-        spec = _generator_from(values)
+        spec = _generator_from(kind, values)
         graphs = tuple(sample_generator(spec, n, rng) for _ in range(count))
     else:
         if values["mode"] is None:
@@ -185,8 +150,7 @@ def _cmd_simulate(args) -> int:
     return 0
 
 
-def _generator_from(values: dict):
-    kind = values["kind"] if "kind" in values else values["generator"]
+def _generator_from(kind: str, values: dict):
     if kind == "er":
         return ErdosRenyi(values["p"])
     if kind == "sbm":
@@ -207,9 +171,7 @@ def _generator_from(values: dict):
 
 
 def _load_fit_inputs(args):
-    cfg = gio.read_config(args.config).as_dict()
-    if args.out:
-        cfg["out"] = args.out
+    cfg = _read_config(args, gio.FIT_SCHEMA)
     pop = gio.read_population(cfg["data"])
     if cfg["g0"] is not None:
         g0 = gio.read_adjacency_csv(cfg["g0"])
@@ -261,14 +223,7 @@ def _write_fit_outputs(out: str, cfg: dict, trace, summary_extra: dict, started:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     outputs = ["trace.ndjson", "summary.json"]
-    gio.write_manifest(f"{out}/manifest.json", _jsonable(cfg), cfg["seed"], outputs, started, _now())
-
-
-def _jsonable(cfg: dict) -> dict:
-    return {
-        k: (list(v) if isinstance(v, tuple) else v)
-        for k, v in cfg.items()
-    }
+    gio.write_manifest(f"{out}/manifest.json", cfg, cfg["seed"], outputs, started, _now())
 
 
 def _cmd_fit_cer(args) -> int:
@@ -324,8 +279,7 @@ def _cmd_frechet(args) -> int:
         candidates = list(pop.graphs) + [majority_vote(pop)]
         mean = sample_frechet_mean(pop, metric, candidates=candidates)
     gio.write_adjacency_csv(mean, f"{out}/frechet_mean.csv")
-    config = {"data": args.data, "metric": args.metric, "t": args.t, "out": args.out}
-    gio.write_manifest(f"{out}/manifest.json", config, 0, ["frechet_mean.csv"], started, _now())
+    _write_flag_manifest(args, ["frechet_mean.csv"], started)
     return 0
 
 
@@ -336,8 +290,7 @@ def _cmd_distances(args) -> int:
     started = _now()
     dmat = distance_matrix(pop, metric)
     gio.write_distance_matrix(dmat, f"{out}/distances.csv")
-    config = {"data": args.data, "metric": args.metric, "t": args.t, "out": args.out}
-    gio.write_manifest(f"{out}/manifest.json", config, 0, ["distances.csv"], started, _now())
+    _write_flag_manifest(args, ["distances.csv"], started)
     return 0
 
 
@@ -350,14 +303,7 @@ def _cmd_mds(args) -> int:
     coords = classical_mds(dmat, args.dim)
     ids = pop.ids if pop.ids is not None else [f"g{k + 1}" for k in range(len(pop))]
     gio.write_mds_coords(ids, coords, f"{out}/mds.csv")
-    config = {
-        "data": args.data,
-        "metric": args.metric,
-        "t": args.t,
-        "dim": args.dim,
-        "out": args.out,
-    }
-    gio.write_manifest(f"{out}/manifest.json", config, 0, ["mds.csv"], started, _now())
+    _write_flag_manifest(args, ["mds.csv"], started)
     return 0
 
 
@@ -397,68 +343,13 @@ def _cmd_diagnose(args) -> int:
         json.dump(report, fh, indent=2, sort_keys=True)
         fh.write("\n")
     gio.write_qq_csv(chi2.rb_values, Chi2Config().n_bins - 1, f"{out}/chi2_qq.csv")
-    config = {
-        "data": args.data, "trace": args.trace, "model": args.model, "stat": args.stat,
-        "metric": args.metric, "t": args.t, "k": args.k, "seed": args.seed,
-    }
-    gio.write_manifest(
-        f"{out}/manifest.json", config, args.seed,
-        ["diagnostics.json", "chi2_qq.csv"], started, _now(),
-    )
+    _write_flag_manifest(args, ["diagnostics.json", "chi2_qq.csv"], started)
     return 0
 
 
 # ---------------------------------------------------------------------------
 # experiment
 # ---------------------------------------------------------------------------
-
-EXPERIMENT_SCHEMA = {
-    "study": ConfigKey(
-        _parse_choice("concentration", "comparison", "prediction", "robustness"), required=True
-    ),
-    "out": ConfigKey(_parse_str, default="out"),
-    "generator": ConfigKey(_parse_choice("er", "sbm", "sw", "rgg"), default="er"),
-    "p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.1),
-    "radius": ConfigKey(_parse_float(lo=0.0), default=0.175),
-    "n_blocks": ConfigKey(_parse_int(lo=1), default=3),
-    "membership_probs": ConfigKey(gio._parse_floats_csv, default=None),
-    "within_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.16),
-    "between_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.075),
-    "lattice_degree": ConfigKey(_parse_int(lo=2), default=2),
-    "rewire_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.2),
-    "model": ConfigKey(_parse_choice("cer", "snf"), default="cer"),
-    "metric": ConfigKey(_parse_choice("hamming", "diffusion"), default="hamming"),
-    "t": ConfigKey(_parse_float(lo=0.0), default=1.0),
-    "phi": ConfigKey(_parse_choice("identity", "square"), default="identity"),
-    "n_vertices": ConfigKey(_parse_int(lo=2), default=50),
-    "sample_sizes": ConfigKey(_parse_ints_csv, default=(3, 5, 7, 10)),
-    "n_replicates": ConfigKey(_parse_int(lo=1), default=20),
-    "epsilons": ConfigKey(gio._parse_floats_csv, default=(1.0, 2.0, 3.0)),
-    "delta": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=0.05),
-    "seed": ConfigKey(_parse_int(), default=0),
-    "data_alpha": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=0.01),
-    "data_gamma": ConfigKey(_parse_float(lo=0.0), default=None),
-    "alpha_tilde": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=None),
-    "n_samples": ConfigKey(_parse_int(lo=1), default=250),
-    "burn_in": ConfigKey(_parse_int(lo=0), default=10000),
-    "lag": ConfigKey(_parse_int(lo=1), default=5),
-    "tau": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=None),
-    "kernel_mix_weight": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.8),
-    "upsilons": ConfigKey(gio._parse_floats_csv, default=(0.005, 0.02, 0.08)),
-    "aux_inner_steps": ConfigKey(_parse_int(lo=1), default=None),
-    "test_size": ConfigKey(_parse_int(lo=1), default=20),
-    "n_predictive": ConfigKey(_parse_int(lo=1), default=20),
-    "misspecification": ConfigKey(_parse_choice("none", "dependence", "metric"), default="dependence"),
-    "persist_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.9),
-    "flip_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.5),
-    "statistics": ConfigKey(_parse_str, default="degree_q0.1,degree_q0.5,degree_q0.9"),
-    "ppc_draws": ConfigKey(_parse_int(lo=100), default=200),
-    "chi2_sims": ConfigKey(_parse_int(lo=10), default=300),
-    "chi2_max_draws": ConfigKey(_parse_int(lo=1), default=100),
-    "nominal_level": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=0.05),
-    "chi2_threshold": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=0.5),
-    "threads": ConfigKey(_parse_int(lo=1), default=1),
-}
 
 _STUDIES = {
     "concentration": concentration_study,
@@ -469,50 +360,27 @@ _STUDIES = {
 
 
 def _cmd_experiment(args) -> int:
-    values = gio.read_config(args.config, EXPERIMENT_SCHEMA).as_dict()
-    if args.out:
-        values["out"] = args.out
+    values = _read_config(args, gio.EXPERIMENT_SCHEMA)
     if args.threads is not None:
         if args.threads < 1:
             raise ConfigError("--threads must be at least 1")
         values["threads"] = args.threads
     out = gio.ensure_dir(values["out"])
     started = _now()
-    gen_values = dict(values)
-    gen_values["kind"] = values["generator"]
-    stats = tuple(_stat_from_name(s.strip()) for s in values["statistics"].split(","))
+    built = {
+        "generator": _generator_from(values["generator"], values),
+        "metric": _metric_from(values),
+        "mcmc": _mcmc_from(values, values["upsilons"]),
+        "statistics": tuple(_stat_from_name(s.strip()) for s in values["statistics"].split(",")),
+        "n_threads": values["threads"],
+    }
+    # Every other StudyConfig field is the experiment key of the same name.
     cfg = StudyConfig(
-        generator=_generator_from(gen_values),
-        model=values["model"],
-        n_vertices=values["n_vertices"],
-        sample_sizes=values["sample_sizes"],
-        n_replicates=values["n_replicates"],
-        epsilons=values["epsilons"],
-        delta=values["delta"],
-        seed=values["seed"],
-        data_alpha=values["data_alpha"],
-        data_gamma=values["data_gamma"],
-        metric=_metric_from(values),
-        mcmc=_mcmc_from(values, values["upsilons"]),
-        alpha_tilde=values["alpha_tilde"],
-        test_size=values["test_size"],
-        n_predictive=values["n_predictive"],
-        misspecification=values["misspecification"],
-        persist_p=values["persist_p"],
-        flip_p=values["flip_p"],
-        statistics=stats,
-        ppc_draws=values["ppc_draws"],
-        chi2_sims=values["chi2_sims"],
-        chi2_max_draws=values["chi2_max_draws"],
-        nominal_level=values["nominal_level"],
-        chi2_threshold=values["chi2_threshold"],
-        n_threads=values["threads"],
+        **built, **{f.name: values[f.name] for f in fields(StudyConfig) if f.name not in built}
     )
     rows = _STUDIES[values["study"]](cfg)
     gio.write_rows_csv(rows, f"{out}/study.csv")
-    gio.write_manifest(
-        f"{out}/manifest.json", _jsonable(values), values["seed"], ["study.csv"], started, _now()
-    )
+    gio.write_manifest(f"{out}/manifest.json", values, values["seed"], ["study.csv"], started, _now())
     return 0
 
 
@@ -590,11 +458,9 @@ def main(argv: Optional[list[str]] = None) -> int:
         return int(exc.code) if exc.code else 0
     try:
         return args.func(args)
-    except _VALIDATION_ERRORS as exc:
-        return _fail(exc, 1)
-    except GraphPopError as exc:
+    except _RUNTIME_ERRORS as exc:
         return _fail(exc, 2)
-    except OSError as exc:
+    except (GraphPopError, ValueError, OSError) as exc:
         return _fail(exc, 1)
     except Exception as exc:  # pragma: no cover - unexpected failure path
         return _fail(exc, 2)

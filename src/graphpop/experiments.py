@@ -316,6 +316,12 @@ def prediction_study(cfg: StudyConfig) -> list[dict]:
         truth, g0, full = _simulate_truth_and_data(cfg, max_n + cfg.test_size, rng)
         test = full.graphs[max_n:]
         rho = model_contour_radius(cfg, truth, rng)
+        if rho == 0.0:
+            raise DomainError(
+                f"model contour radius rho_delta = 0: at least 1 - delta = {1.0 - cfg.delta:g} "
+                "of the model mass sits on its mode, so the ratio psi_delta / rho_delta is "
+                "undefined; use a smaller delta or a larger data_alpha"
+            )
         out = {}
         for n in cfg.sample_sizes:
             train = GraphPopulation(full.graphs[:n])

@@ -329,13 +329,45 @@ def _parse_str(raw: str):
     return raw
 
 
-FIT_SCHEMA: dict[str, ConfigKey] = {
-    "data": ConfigKey(_parse_str, required=True),
+# Key groups shared by the schemas below; each key is defined once.
+_COMMON_KEYS: dict[str, ConfigKey] = {
     "out": ConfigKey(_parse_str, default="out"),
-    "model": ConfigKey(_parse_choice("cer", "snf"), default="cer"),
+    "seed": ConfigKey(_parse_int(), default=0),
+}
+
+_METRIC_KEYS: dict[str, ConfigKey] = {
     "metric": ConfigKey(_parse_choice("hamming", "diffusion"), default="hamming"),
     "t": ConfigKey(_parse_float(lo=0.0), default=1.0),
     "phi": ConfigKey(_parse_choice("identity", "square"), default="identity"),
+}
+
+_GENERATOR_KEYS: dict[str, ConfigKey] = {
+    "p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.1),
+    "radius": ConfigKey(_parse_float(lo=0.0), default=0.175),
+    "n_blocks": ConfigKey(_parse_int(lo=1), default=3),
+    "membership_probs": ConfigKey(_parse_floats_csv, default=None),
+    "within_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.16),
+    "between_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.075),
+    "lattice_degree": ConfigKey(_parse_int(lo=2), default=2),
+    "rewire_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.2),
+}
+
+# Chain knobs apart from the run length (n_samples, burn_in, lag), whose
+# defaults differ between a single fit and a replicated study.
+_CHAIN_KEYS: dict[str, ConfigKey] = {
+    "alpha_tilde": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=None),
+    "tau": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=None),
+    "kernel_mix_weight": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.8),
+    "upsilons": ConfigKey(_parse_floats_csv, default=(0.005, 0.02, 0.08)),
+    "aux_inner_steps": ConfigKey(_parse_int(lo=1), default=None),
+}
+
+FIT_SCHEMA: dict[str, ConfigKey] = {
+    **_COMMON_KEYS,
+    **_METRIC_KEYS,
+    **_CHAIN_KEYS,
+    "data": ConfigKey(_parse_str, required=True),
+    "model": ConfigKey(_parse_choice("cer", "snf"), default="cer"),
     "g0": ConfigKey(_parse_str, default=None),
     "alpha0": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=0.05),
     "beta_a": ConfigKey(_parse_float(lo=0.0), default=1.0),
@@ -344,30 +376,58 @@ FIT_SCHEMA: dict[str, ConfigKey] = {
     "gamma_prior": ConfigKey(_parse_choice("exponential", "uniform"), default="exponential"),
     "gamma_rate": ConfigKey(_parse_float(lo=0.0), default=1.0),
     "gamma_kappa": ConfigKey(_parse_float(lo=0.0), default=50.0),
-    "alpha_tilde": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=None),
     "n_samples": ConfigKey(_parse_int(lo=0), default=1000),
     "burn_in": ConfigKey(_parse_int(lo=0), default=1000),
     "lag": ConfigKey(_parse_int(lo=1), default=2),
-    "tau": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=None),
-    "kernel_mix_weight": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.8),
-    "upsilons": ConfigKey(_parse_floats_csv, default=(0.005, 0.02, 0.08)),
     "gamma_upsilons": ConfigKey(_parse_floats_csv, default=None),
-    "aux_inner_steps": ConfigKey(_parse_int(lo=1), default=None),
-    "seed": ConfigKey(_parse_int(), default=0),
 }
 
+SIM_SCHEMA: dict[str, ConfigKey] = {
+    **_COMMON_KEYS,
+    **_METRIC_KEYS,
+    **_GENERATOR_KEYS,
+    "kind": ConfigKey(_parse_choice("er", "sbm", "sw", "rgg", "cer", "snf"), required=True),
+    "n_vertices": ConfigKey(_parse_int(lo=1), required=True),
+    "n_graphs": ConfigKey(_parse_int(lo=1), default=1),
+    "mode": ConfigKey(_parse_str, default=None),
+    "alpha": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=0.05),
+    "gamma": ConfigKey(_parse_float(lo=0.0), default=1.0),
+    "inner_steps": ConfigKey(_parse_int(lo=1), default=None),
+}
 
-@dataclass(frozen=True)
-class RunConfig:
-    """Validated flat configuration for the fit subcommands."""
-
-    values: dict[str, Any]
-
-    def __getitem__(self, key: str) -> Any:
-        return self.values[key]
-
-    def as_dict(self) -> dict[str, Any]:
-        return dict(self.values)
+EXPERIMENT_SCHEMA: dict[str, ConfigKey] = {
+    **_COMMON_KEYS,
+    **_METRIC_KEYS,
+    **_GENERATOR_KEYS,
+    **_CHAIN_KEYS,
+    "study": ConfigKey(
+        _parse_choice("concentration", "comparison", "prediction", "robustness"), required=True
+    ),
+    "generator": ConfigKey(_parse_choice("er", "sbm", "sw", "rgg"), default="er"),
+    "model": ConfigKey(_parse_choice("cer", "snf"), default="cer"),
+    "n_vertices": ConfigKey(_parse_int(lo=2), default=50),
+    "sample_sizes": ConfigKey(_parse_ints_csv, default=(3, 5, 7, 10)),
+    "n_replicates": ConfigKey(_parse_int(lo=1), default=20),
+    "epsilons": ConfigKey(_parse_floats_csv, default=(1.0, 2.0, 3.0)),
+    "delta": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=0.05),
+    "data_alpha": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=0.01),
+    "data_gamma": ConfigKey(_parse_float(lo=0.0), default=None),
+    "n_samples": ConfigKey(_parse_int(lo=1), default=250),
+    "burn_in": ConfigKey(_parse_int(lo=0), default=10000),
+    "lag": ConfigKey(_parse_int(lo=1), default=5),
+    "test_size": ConfigKey(_parse_int(lo=1), default=20),
+    "n_predictive": ConfigKey(_parse_int(lo=1), default=20),
+    "misspecification": ConfigKey(_parse_choice("none", "dependence", "metric"), default="dependence"),
+    "persist_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.9),
+    "flip_p": ConfigKey(_parse_float(lo=0.0, hi=1.0, lo_open=False, hi_open=False), default=0.5),
+    "statistics": ConfigKey(_parse_str, default="degree_q0.1,degree_q0.5,degree_q0.9"),
+    "ppc_draws": ConfigKey(_parse_int(lo=100), default=200),
+    "chi2_sims": ConfigKey(_parse_int(lo=10), default=300),
+    "chi2_max_draws": ConfigKey(_parse_int(lo=1), default=100),
+    "nominal_level": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=0.05),
+    "chi2_threshold": ConfigKey(_parse_float(lo=0.0, hi=1.0), default=0.5),
+    "threads": ConfigKey(_parse_int(lo=1), default=1),
+}
 
 
 def parse_config_text(text: str, schema: dict[str, ConfigKey]) -> dict[str, Any]:
@@ -397,11 +457,11 @@ def parse_config_text(text: str, schema: dict[str, ConfigKey]) -> dict[str, Any]
     return values
 
 
-def read_config(path: str, schema: Optional[dict[str, ConfigKey]] = None) -> RunConfig:
-    """Parse and validate a key=value config file against the fit schema."""
+def read_config(path: str, schema: Optional[dict[str, ConfigKey]] = None) -> dict[str, Any]:
+    """Parse and validate a key=value config file against ``schema`` (default: the fit schema)."""
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
-    return RunConfig(parse_config_text(text, schema or FIT_SCHEMA))
+    return parse_config_text(text, schema or FIT_SCHEMA)
 
 
 def write_manifest(path: str, config: dict, seed: int, outputs: list[str], started: str, finished: str) -> None:

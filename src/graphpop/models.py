@@ -61,9 +61,7 @@ def cer_log_pmf(g: LabelledGraph, params: CerParams) -> float:
 
 def cer_sample(params: CerParams, rng: np.random.Generator) -> LabelledGraph:
     """One draw: every edge indicator of the mode flipped independently w.p. alpha."""
-    vec = params.mode.to_vector()
-    flips = (rng.random(vec.shape[0]) < params.alpha).astype(np.uint8)
-    return LabelledGraph.from_vector(params.mode.n_vertices, vec ^ flips)
+    return LabelledGraph.from_vector(params.mode.n_vertices, cer_sample_matrix(params, 1, rng)[0])
 
 
 def cer_sample_matrix(params: CerParams, count: int, rng: np.random.Generator) -> np.ndarray:
