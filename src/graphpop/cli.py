@@ -313,19 +313,33 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    # Bounded as the experiment keys that set the same knobs are.
+    for flag, key, value in (
+        ("--chi2-sims", "chi2_sims", args.chi2_sims),
+        ("--max-draws", "chi2_max_draws", args.max_draws),
+    ):
+        try:
+            gio.EXPERIMENT_SCHEMA[key].parse(str(value))
+        except ConfigError as exc:
+            raise ConfigError(f"{flag}: {exc}") from None
     pop = gio.read_population(args.data)
     trace = gio.read_trace(args.trace)
     stat = _stat_from_name(args.stat)
-    metric = MetricSpec(kind=args.metric, t=args.t) if args.model == "snf" else None
+    metric = None
+    if args.model == "snf":
+        metric = MetricSpec(kind=args.metric, t=args.t, phi=getattr(args, "phi", "identity"))
+    # Replicates run the inner chains the fit ran, as its trace header records.
+    fitted = trace.config or McmcConfig(n_samples=0)
+    knobs = {"inner_steps": fitted.aux_inner_steps, "tau": fitted.flip_prob_tau}
     out = gio.ensure_dir(args.out)
     started = _now()
     rng = spawn_rng(args.seed)
     ppc = posterior_predictive_check(
-        trace, args.model, pop, stat, args.k, rng, metric=metric
+        trace, args.model, pop, stat, args.k, rng, metric=metric, **knobs
     )
     chi2 = bayes_chi2(
         trace, args.model, pop, stat, Chi2Config(), rng, metric=metric,
-        n_sims=args.chi2_sims, max_draws=args.max_draws,
+        n_sims=args.chi2_sims, max_draws=args.max_draws, **knobs,
     )
     report = {
         "statistic": args.stat,
@@ -433,6 +447,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--model", choices=("cer", "snf"), required=True)
     p.add_argument("--metric", choices=("hamming", "diffusion"), default="hamming")
     p.add_argument("--t", type=float, default=1.0)
+    # Left out of the manifest unless given, so identity-phi manifests keep their keys.
+    p.add_argument("--phi", choices=("identity", "square"), default=argparse.SUPPRESS)
     p.add_argument("--stat", default="degree_q0.9")
     p.add_argument("--k", type=int, default=200)
     p.add_argument("--chi2-sims", dest="chi2_sims", type=int, default=300)

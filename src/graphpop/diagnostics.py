@@ -15,7 +15,6 @@ from functools import lru_cache
 from typing import Optional, Union
 
 import numpy as np
-from scipy import stats as sstats
 
 from .errors import DomainError, EmptyTraceError, TooFewObservationsError
 from .graphs import GraphPopulation, LabelledGraph, n_pairs, pair_positions
@@ -216,6 +215,18 @@ def rb_statistic(pit_values: np.ndarray, cfg: Chi2Config) -> float:
     return float((((counts - n * p_k) ** 2) / (n * p_k)).sum())
 
 
+def chi2_quantile(q, df):
+    """Quantile function of chi-squared with ``df`` degrees of freedom.
+
+    The same expression as ``scipy.stats.chi2.ppf``, so the values are equal,
+    but it loads only ``scipy.special``, on first call: importing
+    ``scipy.stats`` would cost every command about a second at start-up.
+    """
+    from scipy.special import gammaincinv
+
+    return 2.0 * gammaincinv(df / 2, q)
+
+
 def bayes_chi2(
     trace: Trace,
     model: str,
@@ -239,6 +250,10 @@ def bayes_chi2(
     """
     if len(trace) == 0:
         raise EmptyTraceError("the Bayesian chi-squared needs a non-empty trace")
+    if n_sims < 10:
+        raise DomainError("n_sims must be at least 10 for a usable model CDF")
+    if max_draws is not None and max_draws < 1:
+        raise DomainError("max_draws must be at least 1")
     n = len(pop)
     if n < cfg.n_bins:
         raise TooFewObservationsError(
@@ -265,7 +280,7 @@ def bayes_chi2(
         sim_vals = statistic_values(stat, sims, n_vertices)
         u = randomized_pit(y_obs, sim_vals, rng)
         rb[out_i] = rb_statistic(u, cfg)
-    threshold = float(sstats.chi2.ppf(0.95, cfg.n_bins - 1))
+    threshold = float(chi2_quantile(0.95, cfg.n_bins - 1))
     return Chi2Result(rb, float((rb > threshold).mean()), threshold)
 
 

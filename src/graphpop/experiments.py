@@ -18,7 +18,6 @@ from math import sqrt
 from typing import Optional
 
 import numpy as np
-from scipy import stats as sstats
 
 from .diagnostics import (
     Chi2Config,
@@ -289,7 +288,11 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     """
     ne = n_pairs(cfg.n_vertices)
     if cfg.model == "cer":
-        return float(sstats.binom.ppf(1.0 - cfg.delta, ne, cfg.data_alpha))
+        # Imported here: only a CER prediction study needs scipy.stats, whose
+        # import would cost every command about a second at start-up.
+        from scipy.stats import binom
+
+        return float(binom.ppf(1.0 - cfg.delta, ne, cfg.data_alpha))
     steps, tau = cfg.mcmc.resolved_aux_steps(ne), cfg.mcmc.resolved_tau(ne)
     engine = _MetricEngine(cfg.metric, cfg.n_vertices)
     # The chains return each draw's distance to the truth (their mode).

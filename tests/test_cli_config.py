@@ -7,7 +7,7 @@ import pytest
 
 from conftest import random_graph
 from graphpop import cli
-from graphpop import errors
+from graphpop import errors, inference
 from graphpop import io as gio
 from graphpop.cli import main
 from graphpop.diagnostics import EdgeCount, MeanDegree
@@ -315,3 +315,68 @@ class TestPredictionAtZeroContourRadius:
         assert parsed["error"] == "DomainError"
         assert "rho_delta = 0" in parsed["message"]
         assert "delta" in parsed["message"] and "data_alpha" in parsed["message"]
+
+
+class TestDiagnoseCommand:
+    """diagnose bounds its chi-squared knobs and replays the fitted model."""
+
+    def _inputs(self, tmp_path, config):
+        g = LabelledGraph.from_edges(4, [(0, 1), (2, 3)])
+        trace = Trace(
+            graphs=[g] * 10, params=np.full(10, 2.0), log_kernels=np.zeros(10),
+            param_name="gamma", n_vertices=4, config=config,
+        )
+        trace_path = tmp_path / "trace.ndjson"
+        gio.write_trace(trace, str(trace_path))
+        return _population_file(tmp_path, n_graphs=6), trace_path
+
+    def _argv(self, tmp_path, data, trace_path, *extra):
+        return [
+            "diagnose", "--data", str(data), "--trace", str(trace_path), "--model", "snf",
+            "--stat", "edge_count", "--k", "100", "--chi2-sims", "10", "--max-draws", "2",
+            "--out", str(tmp_path / "o"), *extra,
+        ]
+
+    @pytest.mark.parametrize(
+        "flag, value", [("--chi2-sims", "0"), ("--chi2-sims", "9"), ("--max-draws", "0")]
+    )
+    def test_rejects_out_of_range_knobs_before_any_work(self, tmp_path, capsys, flag, value):
+        data, trace_path = self._inputs(tmp_path, McmcConfig(n_samples=10))
+        assert main(self._argv(tmp_path, data, trace_path, flag, value)) == 1
+        (line,) = capsys.readouterr().err.strip().splitlines()
+        parsed = json.loads(line)
+        assert parsed["error"] == "ConfigError" and flag in parsed["message"]
+        assert not (tmp_path / "o").exists()
+
+    def test_replicates_use_the_header_inner_chain_knobs(self, tmp_path, monkeypatch):
+        data, trace_path = self._inputs(
+            tmp_path, McmcConfig(n_samples=10, aux_inner_steps=7, flip_prob_tau=0.25)
+        )
+        seen = []
+        real = inference.snf_mh_matrix
+
+        def spy(mode_vec, gamma, engine, n_chains, steps, tau, rng):
+            seen.append((steps, tau))
+            return real(mode_vec, gamma, engine, n_chains, steps, tau, rng)
+
+        monkeypatch.setattr(inference, "snf_mh_matrix", spy)
+        assert main(self._argv(tmp_path, data, trace_path)) == 0
+        assert len(seen) == 100 + 2
+        assert set(seen) == {(7, 0.25)}
+
+    def test_phi_reaches_the_replicate_metric(self, tmp_path, monkeypatch):
+        data, trace_path = self._inputs(tmp_path, McmcConfig(n_samples=10, aux_inner_steps=5))
+        metrics = []
+
+        def spying(func):
+            def wrapper(*args, **kwargs):
+                metrics.append(kwargs["metric"])
+                return func(*args, **kwargs)
+
+            return wrapper
+
+        monkeypatch.setattr(cli, "posterior_predictive_check", spying(cli.posterior_predictive_check))
+        monkeypatch.setattr(cli, "bayes_chi2", spying(cli.bayes_chi2))
+        assert main(self._argv(tmp_path, data, trace_path, "--phi", "square")) == 0
+        assert metrics == [MetricSpec(kind="hamming", phi="square")] * 2
+        assert _manifest(tmp_path / "o")["config"]["phi"] == "square"

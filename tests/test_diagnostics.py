@@ -11,6 +11,7 @@ from graphpop.diagnostics import (
     EdgeCount,
     MeanDegree,
     bayes_chi2,
+    chi2_quantile,
     gamma_profile,
     posterior_predictive_check,
     randomized_pit,
@@ -252,3 +253,39 @@ class TestTraceHealth:
     def test_empty_trace(self):
         with pytest.raises(EmptyTraceError):
             trace_health(Trace([], np.zeros(0), np.zeros(0), "alpha", 3))
+
+
+class TestBayesChi2Bounds:
+    """The bounds of the experiment keys chi2_sims and chi2_max_draws."""
+
+    @pytest.mark.parametrize("kwargs", [{"n_sims": 0}, {"n_sims": 9}, {"max_draws": 0}])
+    def test_rejects_unusable_knobs(self, kwargs):
+        g = LabelledGraph.from_edges(4, [(0, 1)])
+        pop = GraphPopulation((g,) * 6)
+        trace = make_trace([g] * 10, [0.1] * 10)
+        with pytest.raises(DomainError):
+            bayes_chi2(trace, "cer", pop, EdgeCount(), Chi2Config(), spawn_rng(12), **kwargs)
+
+    def test_accepts_the_smallest_allowed_knobs(self):
+        g = LabelledGraph.from_edges(4, [(0, 1)])
+        pop = GraphPopulation((g,) * 6)
+        trace = make_trace([g] * 10, [0.1] * 10)
+        res = bayes_chi2(
+            trace, "cer", pop, EdgeCount(), Chi2Config(), spawn_rng(13), n_sims=10, max_draws=1
+        )
+        assert len(res.rb_values) == 1 and np.isfinite(res.rb_values).all()
+
+
+class TestChi2Quantile:
+    """chi2_quantile replaces scipy.stats.chi2.ppf and must equal it exactly."""
+
+    def test_equals_scipy_at_the_threshold_level(self):
+        for df in range(61):
+            ours, ref = chi2_quantile(0.95, df), sstats.chi2.ppf(0.95, df)
+            assert ours == ref or (math.isnan(ours) and math.isnan(ref)), df
+
+    @pytest.mark.parametrize("k", [1, 7, 300])
+    @pytest.mark.parametrize("df", [1, 4, 9])
+    def test_equals_scipy_on_the_qq_grid(self, k, df):
+        q = (np.arange(k) + 0.5) / k
+        assert np.array_equal(chi2_quantile(q, df), sstats.chi2.ppf(q, df))
