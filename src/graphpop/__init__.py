@@ -8,6 +8,9 @@ fitted by Metropolis-Hastings; the spherical case uses an auxiliary-variable
 exchange sampler because its partition function depends on the parameters.
 """
 
+# Defined before the submodule imports: ``io`` writes it into run manifests.
+__version__ = "0.1.0"
+
 from .errors import GraphPopError
 from .graphs import (
     ErdosRenyi,
@@ -65,7 +68,5 @@ from .models import (
     snf_exact,
     snf_log_kernel,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -74,31 +74,28 @@ def statistic_values(stat: StatisticSpec, mat: np.ndarray, n_vertices: int) -> n
     return np.quantile(degrees, stat.q, axis=1)
 
 
-def statistic_of_population(stat: StatisticSpec, pop_mat: np.ndarray, n_vertices: int) -> float:
-    """The statistic averaged over the networks of one population."""
-    return float(statistic_values(stat, pop_mat, n_vertices).mean())
+def predictive_draws(
+    trace: Trace, idx, params_of: Callable, size: int, rng: np.random.Generator, mcmc: McmcConfig
+) -> Iterator[np.ndarray]:
+    """Replicate edge matrices drawn from the model at the kept samples ``idx``.
+
+    For each index in order, yields ``size`` draws from ``params_of(mode,
+    scalar)`` at that sample. Draws are made lazily, so a consumer may use
+    ``rng`` between two of them without changing either stream.
+    """
+    for i in idx:
+        yield sample_matrix(params_of(trace.graphs[i], float(trace.params[i])), size, rng, mcmc)
 
 
-def _simulate_population(
-    model: str,
-    mode: LabelledGraph,
-    theta: float,
-    size: int,
-    rng: np.random.Generator,
-    metric: Optional[MetricSpec],
-    knobs: McmcConfig,
-) -> np.ndarray:
-    params = CerParams(mode, theta) if model == "cer" else SnfParams(mode, theta, metric)
-    return sample_matrix(params, size, rng, knobs)
-
-
-def _sim_knobs(model, metric, inner_steps, tau) -> McmcConfig:
-    """Validated inner-chain knobs; ``None`` defaults resolve per SNF draw."""
+def _replicates(trace, idx, model, metric, inner_steps, tau, size, rng) -> Iterator[np.ndarray]:
+    """Checked replicate populations from the fitted model; ``None`` knobs resolve per SNF draw."""
     if model not in ("cer", "snf"):
         raise DomainError(f"model must be 'cer' or 'snf', got {model!r}")
     if model == "snf" and metric is None:
         raise DomainError("SNF replicate simulation needs the fitted metric")
-    return McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
+    knobs = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
+    params_of = CerParams if model == "cer" else lambda m, g: SnfParams(m, g, metric)
+    return predictive_draws(trace, idx, params_of, size, rng, knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -136,21 +133,10 @@ def posterior_predictive_check(
     if k_draws < 100:
         raise DomainError("k_draws must be at least 100 for a usable tail estimate")
     n_vertices = pop.n_vertices
-    knobs = _sim_knobs(model, metric, inner_steps, tau)
-    eta0 = statistic_of_population(stat, pop.to_matrix(), n_vertices)
+    eta0 = float(statistic_values(stat, pop.to_matrix(), n_vertices).mean())
     idx = rng.integers(len(trace), size=k_draws)
-    draws = np.empty(k_draws)
-    for out_i, trace_i in enumerate(idx):
-        rep = _simulate_population(
-            model,
-            trace.graphs[trace_i],
-            float(trace.params[trace_i]),
-            len(pop),
-            rng,
-            metric,
-            knobs,
-        )
-        draws[out_i] = statistic_of_population(stat, rep, n_vertices)
+    reps = _replicates(trace, idx, model, metric, inner_steps, tau, len(pop), rng)
+    draws = np.array([statistic_values(stat, rep, n_vertices).mean() for rep in reps])
     p_hi = float((draws >= eta0).mean())
     p_lo = float((draws <= eta0).mean())
     tail = min(1.0, 2.0 * min(p_hi, p_lo))
@@ -164,15 +150,15 @@ def posterior_predictive_check(
 
 @dataclass(frozen=True)
 class Chi2Config:
-    """Partition of [0, 1) into bins; defaults to five equal bins."""
+    """Partition of [0, 1) into at least two bins; defaults to five equal bins."""
 
     bin_edges: tuple[float, ...] = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
 
     def __post_init__(self):
         object.__setattr__(self, "bin_edges", tuple(self.bin_edges))
         e = self.bin_edges
-        if len(e) < 2 or e[0] != 0.0 or e[-1] != 1.0:
-            raise DomainError("bin edges must start at 0 and end at 1")
+        if len(e) < 3 or e[0] != 0.0 or e[-1] != 1.0:
+            raise DomainError("bin edges must start at 0 and end at 1, with at least two bins")
         if any(b <= a for a, b in zip(e, e[1:])):
             raise DomainError("bin edges must be strictly increasing")
 
@@ -260,26 +246,15 @@ def bayes_chi2(
             f"{n} observations cannot fill {cfg.n_bins} bins meaningfully"
         )
     n_vertices = pop.n_vertices
-    knobs = _sim_knobs(model, metric, inner_steps, tau)
     y_obs = statistic_values(stat, pop.to_matrix(), n_vertices)
     if max_draws is not None and len(trace) > max_draws:
         draw_idx = rng.integers(len(trace), size=max_draws)
     else:
         draw_idx = np.arange(len(trace))
-    rb = np.empty(len(draw_idx))
-    for out_i, trace_i in enumerate(draw_idx):
-        sims = _simulate_population(
-            model,
-            trace.graphs[trace_i],
-            float(trace.params[trace_i]),
-            n_sims,
-            rng,
-            metric,
-            knobs,
-        )
-        sim_vals = statistic_values(stat, sims, n_vertices)
-        u = randomized_pit(y_obs, sim_vals, rng)
-        rb[out_i] = rb_statistic(u, cfg)
+    # Lazy: each population is drawn before its PIT takes uniforms from the same rng.
+    sims = _replicates(trace, draw_idx, model, metric, inner_steps, tau, n_sims, rng)
+    pits = (randomized_pit(y_obs, statistic_values(stat, s, n_vertices), rng) for s in sims)
+    rb = np.fromiter((rb_statistic(u, cfg) for u in pits), dtype=np.float64)
     threshold = float(chi2_quantile(0.95, cfg.n_bins - 1))
     return Chi2Result(rb, float((rb > threshold).mean()), threshold)
 

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from functools import partial
 from math import sqrt
 from typing import Optional
 
@@ -25,6 +26,7 @@ from .diagnostics import (
     StatisticSpec,
     bayes_chi2,
     posterior_predictive_check,
+    predictive_draws,
 )
 from .errors import DomainError, InvalidSpecError
 from .graphs import (
@@ -41,6 +43,7 @@ from .inference import (
     SnSnHyper,
     Trace,
     _MetricEngine,
+    derive_seed,
     fit_cer_cer,
     fit_sn_sn,
     plugin_alpha_tilde,
@@ -51,12 +54,6 @@ from .inference import (
 )
 from .metrics import MetricSpec
 from .models import CerParams, SnfParams
-
-
-def derive_seed(seed: int, *key: int) -> int:
-    """Deterministic 63-bit child seed for (seed, key...)."""
-    state = np.random.SeedSequence(seed, spawn_key=tuple(key)).generate_state(1)[0]
-    return int(state) & 0x7FFFFFFFFFFFFFFF
 
 
 @dataclass(frozen=True)
@@ -162,6 +159,13 @@ def _simulate_truth_and_data(
     return truth, g0, pop
 
 
+def _fit_replicate(cfg: StudyConfig, n: int, r: int) -> tuple[LabelledGraph, GraphPopulation, Trace]:
+    """Replicate ``r`` at sample size ``n``: the truth, its data and the fit to them."""
+    rng = spawn_rng(derive_seed(cfg.seed, n, r))
+    truth, g0, pop = _simulate_truth_and_data(cfg, n, rng)
+    return truth, pop, _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
+
+
 def _model_metric(cfg: StudyConfig) -> MetricSpec:
     return MetricSpec(kind="hamming") if cfg.model == "cer" else cfg.metric
 
@@ -194,10 +198,7 @@ def concentration_study(cfg: StudyConfig) -> list[dict]:
     metric = _model_metric(cfg)
 
     def one(args):
-        n, r = args
-        rng = spawn_rng(derive_seed(cfg.seed, n, r))
-        truth, g0, pop = _simulate_truth_and_data(cfg, n, rng)
-        trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
+        truth, _, trace = _fit_replicate(cfg, *args)
         dists = np.array([metric.distance(g, truth) for g in trace.graphs])
         inside = {eps: float((dists <= eps).mean()) >= 1.0 - cfg.delta for eps in cfg.epsilons}
         mode_est = posterior_summary(trace).mode_graph
@@ -235,10 +236,7 @@ def majority_vote_comparison(cfg: StudyConfig) -> list[dict]:
     metric = _model_metric(cfg)
 
     def one(args):
-        n, r = args
-        rng = spawn_rng(derive_seed(cfg.seed, n, r))
-        truth, g0, pop = _simulate_truth_and_data(cfg, n, rng)
-        trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
+        truth, pop, trace = _fit_replicate(cfg, *args)
         d_model = metric.distance(posterior_summary(trace).mode_graph, truth)
         d_mv = metric.distance(majority_vote(pop), truth)
         return d_model, d_mv
@@ -331,12 +329,9 @@ def prediction_study(cfg: StudyConfig) -> list[dict]:
             trace = _fit_once(cfg, train, g0, derive_seed(cfg.seed, r, n, 1))
             pred_rng = spawn_rng(derive_seed(cfg.seed, r, n, 2))
             idx = pred_rng.integers(len(trace), size=cfg.n_predictive)
-            minima = np.empty(cfg.n_predictive)
-            for out_i, trace_i in enumerate(idx):
-                params = _model_params(cfg, trace.graphs[trace_i], float(trace.params[trace_i]))
-                pred_vec = sample_matrix(params, 1, pred_rng, cfg.mcmc)[0]
-                pred = LabelledGraph.from_vector(cfg.n_vertices, pred_vec)
-                minima[out_i] = min(metric.distance(pred, t) for t in test)
+            draws = predictive_draws(trace, idx, partial(_model_params, cfg), 1, pred_rng, cfg.mcmc)
+            preds = (LabelledGraph.from_vector(cfg.n_vertices, d[0]) for d in draws)
+            minima = np.array([min(metric.distance(p, t) for t in test) for p in preds])
             psi = float(np.quantile(minima, 1.0 - cfg.delta))
             out[n] = PredictionResult(psi, rho)
         return out
@@ -415,8 +410,11 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
     as in the other studies. Rejection means a posterior predictive tail
     probability below the nominal level, or a chi-squared exceedance fraction
     above the configured threshold. The chi-squared binning coarsens to n
-    equal bins when n falls below the default five.
+    equal bins when n falls below the default five; it needs two bins, so every
+    sample size must be at least 2.
     """
+    if any(n < 2 for n in cfg.sample_sizes):
+        raise InvalidSpecError("robustness study requires sample sizes of at least 2")
     fit_metric = None if cfg.model == "cer" else cfg.metric
     knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
 

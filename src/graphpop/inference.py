@@ -61,6 +61,11 @@ def spawn_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(ss))
 
 
+def derive_seed(seed: int, *key: int) -> int:
+    """Deterministic 32-bit child seed for (seed, key...)."""
+    return int(np.random.SeedSequence(seed, spawn_key=key).generate_state(1)[0])
+
+
 # ---------------------------------------------------------------------------
 # Hyperparameters and configuration
 # ---------------------------------------------------------------------------
@@ -861,10 +866,7 @@ def divide_and_conquer_fit(
         if n_subsets == 1:
             sub_cfg = cfg  # degenerate split is exactly a plain fit
         else:
-            sub_seed = int(
-                np.random.SeedSequence(cfg.seed, spawn_key=(i,)).generate_state(1)[0]
-            )
-            sub_cfg = replace(cfg, seed=sub_seed)
+            sub_cfg = replace(cfg, seed=derive_seed(cfg.seed, i))
         if alpha_tilde is None:
             a0 = min(max(1.0 / (1.0 + exp(hyper.gamma0)), 1e-6), 0.5 - 1e-6)
             at = plugin_alpha_tilde(sub, CerCerHyper(g0=hyper.g0, alpha0=a0), sub_cfg)

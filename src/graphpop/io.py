@@ -12,11 +12,11 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from importlib.metadata import version
-from typing import Any, Callable, Optional
+from typing import Any, Callable, Iterator, Optional
 
 import numpy as np
 
+from . import __version__
 from .diagnostics import chi2_quantile
 from .errors import ConfigError, ParseError, SchemaError
 from .graphs import GraphPopulation, LabelledGraph
@@ -33,7 +33,33 @@ def _edges_1based(g: LabelledGraph) -> list[list[int]]:
     return [[i + 1, j + 1] for i, j in g.edges()]
 
 
+def _ndjson_records(path: str) -> Iterator[tuple[int, dict]]:
+    """(file line number, object) for each non-blank line of an NDJSON file."""
+    with open(path, "r", encoding="utf-8") as fh:
+        for line_no, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as exc:
+                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            if not isinstance(rec, dict):
+                raise ParseError("record is not an object", line_no)
+            yield line_no, rec
+
+
+def _required(rec: dict, line_no: int, *keys: str) -> list:
+    """The values of ``keys`` in ``rec``; a missing key raises ``SchemaError``."""
+    for key in keys:
+        if key not in rec:
+            raise SchemaError(f"missing on line {line_no}", field=key)
+    return [rec[key] for key in keys]
+
+
 def _graph_from_record(n: int, edges, line_no: int) -> LabelledGraph:
+    if not isinstance(edges, list):
+        raise ParseError(f"edges {edges!r} is not a list", line_no)
     pairs = []
     for e in edges:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
@@ -51,36 +77,26 @@ def _graph_from_record(n: int, edges, line_no: int) -> LabelledGraph:
     return LabelledGraph.from_edges(n, pairs)
 
 
+def _vertex_count(n, field: str) -> int:
+    if not isinstance(n, int) or n < 1:
+        raise SchemaError(f"bad vertex count {n!r}", field=field)
+    return n
+
+
 def read_population(path: str) -> GraphPopulation:
     """Population NDJSON: one object per line {"id": str, "n": int, "edges": [[i,j],...]}."""
     graphs: list[LabelledGraph] = []
     ids: list[str] = []
     n_common: Optional[int] = None
-    with open(path, "r", encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-            if not isinstance(rec, dict):
-                raise ParseError("record is not an object", line_no)
-            for key in ("n", "edges"):
-                if key not in rec:
-                    raise SchemaError("missing", field=key)
-            n = rec["n"]
-            if not isinstance(n, int) or n < 1:
-                raise SchemaError(f"bad vertex count {n!r}", field="n")
-            if n_common is None:
-                n_common = n
-            elif n != n_common:
-                raise SchemaError(
-                    f"population mixes n={n_common} and n={n} graphs", field="n"
-                )
-            graphs.append(_graph_from_record(n, rec["edges"], line_no))
-            ids.append(str(rec.get("id", f"g{line_no}")))
+    for line_no, rec in _ndjson_records(path):
+        n, edges = _required(rec, line_no, "n", "edges")
+        n = _vertex_count(n, "n")
+        if n_common is None:
+            n_common = n
+        elif n != n_common:
+            raise SchemaError(f"population mixes n={n_common} and n={n} graphs", field="n")
+        graphs.append(_graph_from_record(n, edges, line_no))
+        ids.append(str(rec.get("id", f"g{line_no}")))
     if not graphs:
         raise ParseError("file contains no graphs")
     return GraphPopulation(tuple(graphs), tuple(ids))
@@ -156,33 +172,31 @@ def write_trace(trace: Trace, path: str) -> None:
 
 
 def read_trace(path: str) -> Trace:
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines:
+    records = _ndjson_records(path)
+    first = next(records, None)
+    if first is None:
         raise ParseError("empty trace file")
-    try:
-        header = json.loads(lines[0])
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"invalid JSON header ({exc.msg})", 1) from exc
+    header_line, header = first
     if header.get("type") != "trace":
         raise SchemaError("first line is not a trace header", field="type")
-    n_vertices = header["n_vertices"]
+    n_vertices, param_name = _required(header, header_line, "n_vertices", "param")
+    n_vertices = _vertex_count(n_vertices, "n_vertices")
     graphs, params, log_kernels = [], [], []
-    for line_no, line in enumerate(lines[1:], start=2):
+    for line_no, rec in records:
+        edges, param, log_kernel = _required(rec, line_no, "edges", "param", "log_kernel")
+        graphs.append(_graph_from_record(n_vertices, edges, line_no))
         try:
-            rec = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
-        graphs.append(_graph_from_record(n_vertices, rec["edges"], line_no))
-        params.append(float(rec["param"]))
-        log_kernels.append(float(rec["log_kernel"]))
+            params.append(float(param))
+            log_kernels.append(float(log_kernel))
+        except (TypeError, ValueError) as exc:
+            raise ParseError(f"param and log_kernel must be numbers ({exc})", line_no) from exc
     cfg_dict = header.get("config")
     cfg = McmcConfig(**{f.name: cfg_dict[f.name] for f in fields(McmcConfig)}) if cfg_dict else None
     return Trace(
         graphs=graphs,
         params=np.array(params),
         log_kernels=np.array(log_kernels),
-        param_name=header["param"],
+        param_name=param_name,
         n_vertices=n_vertices,
         accept_counts={k: tuple(v) for k, v in header.get("accept_counts", {}).items()},
         config=cfg,
@@ -469,7 +483,7 @@ def write_manifest(path: str, config: dict, seed: int, outputs: list[str], start
         "config": config,
         "config_hash": config_hash(config),
         "seed": seed,
-        "version": _package_version(),
+        "version": __version__,
         "started": started,
         "finished": finished,
         "outputs": outputs,
@@ -477,13 +491,6 @@ def write_manifest(path: str, config: dict, seed: int, outputs: list[str], start
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
-
-
-def _package_version() -> str:
-    try:
-        return version("graphpop")
-    except Exception:
-        return "0.1.0"
 
 
 def ensure_dir(path: str) -> str:

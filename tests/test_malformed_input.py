@@ -1,0 +1,144 @@
+"""Malformed NDJSON input exits 1 with one JSON line, and the package has one version."""
+
+import json
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import graphpop
+from graphpop import io as gio
+from graphpop.cli import main
+from graphpop.errors import ParseError, SchemaError
+from graphpop.graphs import GraphPopulation, LabelledGraph
+from graphpop.inference import McmcConfig, Trace
+
+GOOD_GRAPH = '{"id":"g1","n":3,"edges":[[1,2]]}'
+
+
+def _trace():
+    return Trace(
+        graphs=[LabelledGraph.from_edges(3, [(0, 1)])] * 3,
+        params=np.full(3, 0.1),
+        log_kernels=np.zeros(3),
+        param_name="alpha",
+        n_vertices=3,
+        config=McmcConfig(n_samples=3),
+    )
+
+
+def _write_inputs(tmp_path, population_text=None, edit_trace=None):
+    data = tmp_path / "pop.ndjson"
+    if population_text is None:
+        gio.write_population(GraphPopulation((LabelledGraph(3, 1),) * 3), str(data))
+    else:
+        data.write_text(population_text)
+    trace_path = tmp_path / "trace.ndjson"
+    gio.write_trace(_trace(), str(trace_path))
+    if edit_trace is not None:
+        records = [json.loads(line) for line in trace_path.read_text().splitlines()]
+        edit_trace(records)
+        trace_path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return data, trace_path
+
+
+def _drop(index, key):
+    def edit(records):
+        del records[index][key]
+
+    return edit
+
+
+def _set(index, key, value):
+    def edit(records):
+        records[index][key] = value
+
+    return edit
+
+
+def _distances(tmp_path, data, trace_path):
+    return ["distances", "--data", str(data), "--out", str(tmp_path / "o")]
+
+
+def _diagnose(tmp_path, data, trace_path):
+    return [
+        "diagnose", "--data", str(data), "--trace", str(trace_path), "--model", "cer",
+        "--stat", "edge_count", "--k", "100", "--chi2-sims", "10", "--max-draws", "1",
+        "--out", str(tmp_path / "o"),
+    ]
+
+
+@pytest.mark.parametrize(
+    "population_text, edit_trace, command, error",
+    [
+        ('{"id":"g1","n":3,"edges":5}\n', None, _distances, "ParseError"),
+        ('{"id":"g1","n":3,"edges":[[1,2]]\n', None, _distances, "ParseError"),
+        ("[1, 2]\n", None, _distances, "ParseError"),
+        ('{"id":"g1","edges":[]}\n', None, _distances, "SchemaError"),
+        (None, _drop(1, "log_kernel"), _diagnose, "SchemaError"),
+        (None, _drop(2, "edges"), _diagnose, "SchemaError"),
+        (None, _drop(0, "n_vertices"), _diagnose, "SchemaError"),
+        (None, _drop(0, "param"), _diagnose, "SchemaError"),
+        (None, _set(1, "param", None), _diagnose, "ParseError"),
+        (None, _set(3, "log_kernel", [1.0]), _diagnose, "ParseError"),
+    ],
+    ids=[
+        "population-edges-not-a-list",
+        "population-invalid-json",
+        "population-not-an-object",
+        "population-missing-n",
+        "trace-sample-missing-log-kernel",
+        "trace-sample-missing-edges",
+        "trace-header-missing-n-vertices",
+        "trace-header-missing-param",
+        "trace-sample-null-param",
+        "trace-sample-list-log-kernel",
+    ],
+)
+def test_malformed_input_exits_one(tmp_path, capsys, population_text, edit_trace, command, error):
+    data, trace_path = _write_inputs(tmp_path, population_text, edit_trace)
+    assert main(command(tmp_path, data, trace_path)) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == error
+
+
+class TestRecordReader:
+    def test_line_numbers_count_blank_lines(self, tmp_path):
+        path = tmp_path / "pop.ndjson"
+        path.write_text(f"{GOOD_GRAPH}\n\n{{not json\n")
+        with pytest.raises(ParseError) as exc:
+            gio.read_population(str(path))
+        assert exc.value.line == 3
+
+    def test_non_list_edges_carry_the_line(self, tmp_path):
+        path = tmp_path / "pop.ndjson"
+        path.write_text(f'{GOOD_GRAPH}\n{{"id":"g2","n":3,"edges":5}}\n')
+        with pytest.raises(ParseError) as exc:
+            gio.read_population(str(path))
+        assert exc.value.line == 2
+
+    def test_missing_trace_key_names_the_field(self, tmp_path):
+        _, trace_path = _write_inputs(tmp_path, edit_trace=_drop(2, "param"))
+        with pytest.raises(SchemaError) as exc:
+            gio.read_trace(str(trace_path))
+        assert exc.value.field == "param" and "line 3" in str(exc.value)
+
+    def test_trace_reader_skips_blank_lines(self, tmp_path):
+        _, trace_path = _write_inputs(tmp_path)
+        lines = trace_path.read_text().splitlines()
+        trace_path.write_text("\n" + "\n\n".join(lines) + "\n\n")
+        back = gio.read_trace(str(trace_path))
+        assert len(back) == 3 and back.config == McmcConfig(n_samples=3)
+
+
+def test_pyproject_version_is_the_package_version():
+    tomllib = pytest.importorskip("tomllib")
+    pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+    with open(pyproject, "rb") as fh:
+        assert tomllib.load(fh)["project"]["version"] == graphpop.__version__
+
+
+def test_manifest_carries_the_package_version(tmp_path):
+    path = tmp_path / "manifest.json"
+    gio.write_manifest(str(path), {}, 0, [], "start", "end")
+    assert json.loads(path.read_text())["version"] == graphpop.__version__
