@@ -56,9 +56,13 @@ StatisticSpec = Union[DegreeQuantile, EdgeCount, MeanDegree]
 
 @lru_cache(maxsize=32)
 def _incidence(n_vertices: int) -> np.ndarray:
-    """(n_pairs, n_vertices) 0/1 matrix mapping edge indicators to degree sums."""
+    """(n_pairs, n_vertices) 0/1 matrix mapping edge indicators to degree sums.
+
+    float32: degrees are integers below N < 2^24, which float32 sums exactly in
+    any order, at about half the cost of a float64 product.
+    """
     ii, jj = pair_positions(n_vertices)
-    m = np.zeros((n_pairs(n_vertices), n_vertices), dtype=np.float64)
+    m = np.zeros((n_pairs(n_vertices), n_vertices), dtype=np.float32)
     m[np.arange(len(ii)), ii] = 1.0
     m[np.arange(len(jj)), jj] = 1.0
     return m
@@ -70,8 +74,8 @@ def statistic_values(stat: StatisticSpec, mat: np.ndarray, n_vertices: int) -> n
         return mat.sum(axis=1).astype(np.float64)
     if isinstance(stat, MeanDegree):
         return 2.0 * mat.sum(axis=1) / n_vertices
-    degrees = mat.astype(np.float64) @ _incidence(n_vertices)
-    return np.quantile(degrees, stat.q, axis=1)
+    degrees = mat.astype(np.float32) @ _incidence(n_vertices)
+    return np.quantile(degrees.astype(np.float64), stat.q, axis=1)
 
 
 def predictive_draws(

@@ -2,7 +2,22 @@
 
 
 class GraphPopError(Exception):
-    """Base class for all library errors."""
+    """Base class for all library errors.
+
+    Errors pickle with their type, message and attributes (``position``,
+    ``line``, ``field``), so one raised in a study's worker process reaches the
+    caller as itself. The default pickling would call ``__init__`` again with
+    the message alone, which the formatting constructors below do not accept.
+    """
+
+    def __reduce__(self):
+        return _rebuild, (type(self), self.args, self.__dict__)
+
+
+def _rebuild(cls, args, attributes):
+    err = cls.__new__(cls, *args)
+    err.__dict__.update(attributes)
+    return err
 
 
 class NonSymmetricError(GraphPopError):

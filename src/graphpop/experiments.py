@@ -2,8 +2,10 @@
 
 Every study draws a fresh truth per replicate, simulates data, fits the chosen
 hierarchical model and aggregates over replicates. Replicates are deterministic
-given (seed, replicate index) and independent, so they can be spread over a
-thread pool; aggregation order is fixed by replicate index.
+given (seed, sample size, replicate index) and independent. With
+``n_threads`` > 1 they run at once in that many worker processes (the fits are
+pure-Python loops, so threads would share one interpreter lock); rows are
+aggregated in replicate order, so the output does not depend on the count.
 
 Scales default to desk size (tens of replicates, short chains). The
 paper-scale regimes are reachable through the same configuration but take
@@ -12,11 +14,11 @@ CPU-days.
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import partial
+from itertools import repeat
 from math import sqrt
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -64,7 +66,8 @@ class StudyConfig:
     and double as the prior concentration hyperparameters, mirroring the
     simulation regimes. Study-specific fields (test set size, predictive draw
     count, misspecification parameters, diagnostic knobs) are ignored by the
-    studies that do not use them.
+    studies that do not use them. ``n_threads`` is how many replicates run at
+    once, each in its own worker process; 1 runs them in this process.
     """
 
     generator: GeneratorSpec
@@ -170,13 +173,34 @@ def _model_metric(cfg: StudyConfig) -> MetricSpec:
     return MetricSpec(kind="hamming") if cfg.model == "cer" else cfg.metric
 
 
-def _run_replicates(cfg: StudyConfig, worker):
-    """Map ``worker(replicate_index)`` over replicates, order fixed by index."""
-    indices = range(cfg.n_replicates)
-    if cfg.n_threads > 1:
-        with ThreadPoolExecutor(max_workers=cfg.n_threads) as pool:
-            return list(pool.map(worker, indices))
-    return [worker(r) for r in indices]
+def _run_replicates(cfg: StudyConfig, worker, tasks: Sequence) -> list:
+    """``worker(cfg, task)`` for each task, in task order.
+
+    With ``n_threads`` > 1 the tasks run in a pool of worker processes, so
+    ``worker`` must be a module-level function; each task seeds itself, so the
+    results equal a serial run's.
+    """
+    n_workers = min(cfg.n_threads, len(tasks))
+    if n_workers <= 1:
+        return [worker(cfg, task) for task in tasks]
+    # Imported here: multiprocessing costs start-up time that only a pool needs.
+    from concurrent.futures import ProcessPoolExecutor
+
+    pool = ProcessPoolExecutor(max_workers=n_workers)
+    try:
+        return list(pool.map(worker, repeat(cfg), tasks))
+    finally:
+        # After a replicate raises, drop the queued ones; either way the
+        # workers are joined before this returns.
+        pool.shutdown(cancel_futures=True)
+
+
+def _per_sample_size(cfg: StudyConfig, worker) -> list[tuple[int, list]]:
+    """Run ``worker`` over every (n, r) task in one pool; each n with its results."""
+    tasks = [(n, r) for n in cfg.sample_sizes for r in range(cfg.n_replicates)]
+    results = _run_replicates(cfg, worker, tasks)
+    reps = cfg.n_replicates
+    return [(n, results[i * reps : (i + 1) * reps]) for i, n in enumerate(cfg.sample_sizes)]
 
 
 def binomial_ci_half_width(fraction: float, count: int) -> float:
@@ -188,6 +212,15 @@ def binomial_ci_half_width(fraction: float, count: int) -> float:
 # ---------------------------------------------------------------------------
 
 
+def _concentration_replicate(cfg: StudyConfig, task: tuple[int, int]):
+    truth, _, trace = _fit_replicate(cfg, *task)
+    metric = _model_metric(cfg)
+    dists = np.array([metric.distance(g, truth) for g in trace.graphs])
+    inside = {eps: float((dists <= eps).mean()) >= 1.0 - cfg.delta for eps in cfg.epsilons}
+    mode_est = posterior_summary(trace).mode_graph
+    return inside, metric.distance(mode_est, truth)
+
+
 def concentration_study(cfg: StudyConfig) -> list[dict]:
     """Posterior concentration around the true mode as the sample size grows.
 
@@ -195,18 +228,8 @@ def concentration_study(cfg: StudyConfig) -> list[dict]:
     lies within each epsilon-ball of the truth, plus the distance from the
     posterior mode estimate to the truth. Rows aggregate over replicates.
     """
-    metric = _model_metric(cfg)
-
-    def one(args):
-        truth, _, trace = _fit_replicate(cfg, *args)
-        dists = np.array([metric.distance(g, truth) for g in trace.graphs])
-        inside = {eps: float((dists <= eps).mean()) >= 1.0 - cfg.delta for eps in cfg.epsilons}
-        mode_est = posterior_summary(trace).mode_graph
-        return inside, metric.distance(mode_est, truth)
-
     rows = []
-    for n in cfg.sample_sizes:
-        results = _run_replicates(cfg, lambda r, n=n: one((n, r)))
+    for n, results in _per_sample_size(cfg, _concentration_replicate):
         mode_dists = [d for _, d in results]
         for eps in cfg.epsilons:
             frac = float(np.mean([res[0][eps] for res in results]))
@@ -228,22 +251,21 @@ def concentration_study(cfg: StudyConfig) -> list[dict]:
 # ---------------------------------------------------------------------------
 
 
+def _comparison_replicate(cfg: StudyConfig, task: tuple[int, int]):
+    truth, pop, trace = _fit_replicate(cfg, *task)
+    metric = _model_metric(cfg)
+    d_model = metric.distance(posterior_summary(trace).mode_graph, truth)
+    d_mv = metric.distance(majority_vote(pop), truth)
+    return d_model, d_mv
+
+
 def majority_vote_comparison(cfg: StudyConfig) -> list[dict]:
     """Point-estimate accuracy of the posterior mode versus the majority vote."""
     for n in cfg.sample_sizes:
         if n % 2 == 0:
             raise InvalidSpecError("majority-vote comparison requires odd sample sizes")
-    metric = _model_metric(cfg)
-
-    def one(args):
-        truth, pop, trace = _fit_replicate(cfg, *args)
-        d_model = metric.distance(posterior_summary(trace).mode_graph, truth)
-        d_mv = metric.distance(majority_vote(pop), truth)
-        return d_model, d_mv
-
     rows = []
-    for n in cfg.sample_sizes:
-        results = _run_replicates(cfg, lambda r, n=n: one((n, r)))
+    for n, results in _per_sample_size(cfg, _comparison_replicate):
         for eps in cfg.epsilons:
             model_frac = float(np.mean([dm <= eps for dm, _ in results]))
             mv_frac = float(np.mean([dv <= eps for _, dv in results]))
@@ -300,6 +322,33 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     return float(np.quantile(dists, 1.0 - cfg.delta))
 
 
+def _prediction_replicate(cfg: StudyConfig, r: int) -> dict[int, PredictionResult]:
+    metric = _model_metric(cfg)
+    max_n = max(cfg.sample_sizes)
+    rng = spawn_rng(derive_seed(cfg.seed, r))
+    truth, g0, full = _simulate_truth_and_data(cfg, max_n + cfg.test_size, rng)
+    test = full.graphs[max_n:]
+    rho = model_contour_radius(cfg, truth, rng)
+    if rho == 0.0:
+        raise DomainError(
+            f"model contour radius rho_delta = 0: at least 1 - delta = {1.0 - cfg.delta:g} "
+            "of the model mass sits on its mode, so the ratio psi_delta / rho_delta is "
+            "undefined; use a smaller delta or a larger data_alpha"
+        )
+    out = {}
+    for n in cfg.sample_sizes:
+        train = GraphPopulation(full.graphs[:n])
+        trace = _fit_once(cfg, train, g0, derive_seed(cfg.seed, r, n, 1))
+        pred_rng = spawn_rng(derive_seed(cfg.seed, r, n, 2))
+        idx = pred_rng.integers(len(trace), size=cfg.n_predictive)
+        draws = predictive_draws(trace, idx, partial(_model_params, cfg), 1, pred_rng, cfg.mcmc)
+        preds = (LabelledGraph.from_vector(cfg.n_vertices, d[0]) for d in draws)
+        minima = np.array([min(metric.distance(p, t) for t in test) for p in preds])
+        psi = float(np.quantile(minima, 1.0 - cfg.delta))
+        out[n] = PredictionResult(psi, rho)
+    return out
+
+
 def prediction_study(cfg: StudyConfig) -> list[dict]:
     """Covering radius of the predictive relative to the model contour radius.
 
@@ -309,34 +358,7 @@ def prediction_study(cfg: StudyConfig) -> list[dict]:
     common data. The covering radius estimate is the 1-delta quantile over
     predictive draws of the minimum distance to the test set.
     """
-    metric = _model_metric(cfg)
-    max_n = max(cfg.sample_sizes)
-
-    def one(r):
-        rng = spawn_rng(derive_seed(cfg.seed, r))
-        truth, g0, full = _simulate_truth_and_data(cfg, max_n + cfg.test_size, rng)
-        test = full.graphs[max_n:]
-        rho = model_contour_radius(cfg, truth, rng)
-        if rho == 0.0:
-            raise DomainError(
-                f"model contour radius rho_delta = 0: at least 1 - delta = {1.0 - cfg.delta:g} "
-                "of the model mass sits on its mode, so the ratio psi_delta / rho_delta is "
-                "undefined; use a smaller delta or a larger data_alpha"
-            )
-        out = {}
-        for n in cfg.sample_sizes:
-            train = GraphPopulation(full.graphs[:n])
-            trace = _fit_once(cfg, train, g0, derive_seed(cfg.seed, r, n, 1))
-            pred_rng = spawn_rng(derive_seed(cfg.seed, r, n, 2))
-            idx = pred_rng.integers(len(trace), size=cfg.n_predictive)
-            draws = predictive_draws(trace, idx, partial(_model_params, cfg), 1, pred_rng, cfg.mcmc)
-            preds = (LabelledGraph.from_vector(cfg.n_vertices, d[0]) for d in draws)
-            minima = np.array([min(metric.distance(p, t) for t in test) for p in preds])
-            psi = float(np.quantile(minima, 1.0 - cfg.delta))
-            out[n] = PredictionResult(psi, rho)
-        return out
-
-    results = _run_replicates(cfg, one)
+    results = _run_replicates(cfg, _prediction_replicate, range(cfg.n_replicates))
     rows = []
     for n in cfg.sample_sizes:
         per_n = [res[n] for res in results]
@@ -403,6 +425,41 @@ def _misspecified_data(
     return truth, pop
 
 
+def _robustness_replicate(cfg: StudyConfig, task: tuple[int, int]) -> dict[str, tuple[bool, bool]]:
+    n, r = task
+    fit_metric = None if cfg.model == "cer" else cfg.metric
+    knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
+    n_bins = min(5, n)
+    chi2_cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, n_bins + 1)))
+    rng = spawn_rng(derive_seed(cfg.seed, n, r))
+    truth, pop = _misspecified_data(cfg, n, rng)
+    g0_vec = sample_matrix(CerParams(truth, cfg.data_alpha), 1, rng, cfg.mcmc)[0]
+    g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
+    trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
+    out = {}
+    for stat in cfg.statistics:
+        ppc = posterior_predictive_check(
+            trace, cfg.model, pop, stat, cfg.ppc_draws, rng, metric=fit_metric, **knobs
+        )
+        chi2 = bayes_chi2(
+            trace,
+            cfg.model,
+            pop,
+            stat,
+            chi2_cfg,
+            rng,
+            metric=fit_metric,
+            n_sims=cfg.chi2_sims,
+            max_draws=cfg.chi2_max_draws,
+            **knobs,
+        )
+        out[stat.name] = (
+            ppc.tail_prob < cfg.nominal_level,
+            chi2.exceedance_fraction > cfg.chi2_threshold,
+        )
+    return out
+
+
 def robustness_study(cfg: StudyConfig) -> list[dict]:
     """Rejection rates of both diagnostics under the configured misspecification.
 
@@ -415,44 +472,8 @@ def robustness_study(cfg: StudyConfig) -> list[dict]:
     """
     if any(n < 2 for n in cfg.sample_sizes):
         raise InvalidSpecError("robustness study requires sample sizes of at least 2")
-    fit_metric = None if cfg.model == "cer" else cfg.metric
-    knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
-
-    def one(args):
-        n, r = args
-        n_bins = min(5, n)
-        chi2_cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, n_bins + 1)))
-        rng = spawn_rng(derive_seed(cfg.seed, n, r))
-        truth, pop = _misspecified_data(cfg, n, rng)
-        g0_vec = sample_matrix(CerParams(truth, cfg.data_alpha), 1, rng, cfg.mcmc)[0]
-        g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
-        trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
-        out = {}
-        for stat in cfg.statistics:
-            ppc = posterior_predictive_check(
-                trace, cfg.model, pop, stat, cfg.ppc_draws, rng, metric=fit_metric, **knobs
-            )
-            chi2 = bayes_chi2(
-                trace,
-                cfg.model,
-                pop,
-                stat,
-                chi2_cfg,
-                rng,
-                metric=fit_metric,
-                n_sims=cfg.chi2_sims,
-                max_draws=cfg.chi2_max_draws,
-                **knobs,
-            )
-            out[stat.name] = (
-                ppc.tail_prob < cfg.nominal_level,
-                chi2.exceedance_fraction > cfg.chi2_threshold,
-            )
-        return out
-
     rows = []
-    for n in cfg.sample_sizes:
-        results = _run_replicates(cfg, lambda r, n=n: one((n, r)))
+    for n, results in _per_sample_size(cfg, _robustness_replicate):
         for stat in cfg.statistics:
             ppc_rate = float(np.mean([res[stat.name][0] for res in results]))
             chi2_rate = float(np.mean([res[stat.name][1] for res in results]))

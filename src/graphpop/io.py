@@ -12,7 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Iterator, Optional
+from typing import Any, Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -191,16 +191,53 @@ def read_trace(path: str) -> Trace:
         except (TypeError, ValueError) as exc:
             raise ParseError(f"param and log_kernel must be numbers ({exc})", line_no) from exc
     cfg_dict = header.get("config")
-    cfg = McmcConfig(**{f.name: cfg_dict[f.name] for f in fields(McmcConfig)}) if cfg_dict else None
     return Trace(
         graphs=graphs,
         params=np.array(params),
         log_kernels=np.array(log_kernels),
         param_name=param_name,
         n_vertices=n_vertices,
-        accept_counts={k: tuple(v) for k, v in header.get("accept_counts", {}).items()},
-        config=cfg,
+        accept_counts=_header_accepts(header.get("accept_counts", {}), header_line),
+        config=_header_config(cfg_dict, header_line) if cfg_dict else None,
     )
+
+
+def _conforms(value, hint) -> bool:
+    """Whether a JSON value fits a field annotation such as ``Optional[int]``."""
+    if get_origin(hint) is Union:
+        return any(_conforms(value, h) for h in get_args(hint))
+    if get_origin(hint) is tuple:
+        return isinstance(value, list) and all(_conforms(v, get_args(hint)[0]) for v in value)
+    if hint is type(None):
+        return value is None
+    if isinstance(value, bool):
+        return hint is bool
+    return isinstance(value, (int, float) if hint is float else hint)
+
+
+def _header_config(cfg_dict, line_no: int) -> McmcConfig:
+    """The trace header's sampler config; a missing field still raises ``KeyError``."""
+    if not isinstance(cfg_dict, dict):
+        raise SchemaError(f"not an object on line {line_no}", field="config")
+    hints = get_type_hints(McmcConfig)
+    values = {f.name: cfg_dict[f.name] for f in fields(McmcConfig)}
+    for name, value in values.items():
+        if not _conforms(value, hints[name]):
+            raise SchemaError(
+                f"header config value {value!r} on line {line_no} has the wrong type", field=name
+            )
+    return McmcConfig(**values)
+
+
+def _header_accepts(counts, line_no: int) -> dict[str, tuple[int, int]]:
+    if not isinstance(counts, dict) or not all(
+        _conforms(v, tuple[int, ...]) and len(v) == 2 for v in counts.values()
+    ):
+        raise SchemaError(
+            f"expected an object of [accepted, proposed] integer pairs on line {line_no}",
+            field="accept_counts",
+        )
+    return {k: tuple(v) for k, v in counts.items()}
 
 
 # ---------------------------------------------------------------------------

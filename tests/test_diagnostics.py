@@ -289,3 +289,36 @@ class TestChi2Quantile:
     def test_equals_scipy_on_the_qq_grid(self, k, df):
         q = (np.arange(k) + 0.5) / k
         assert np.array_equal(chi2_quantile(q, df), sstats.chi2.ppf(q, df))
+
+
+class TestDegreeStatisticPrecision:
+    """Degrees come from a float32 product; the statistics equal the float64 ones bit for bit."""
+
+    @staticmethod
+    def incidence64(n):
+        m = np.zeros((n * (n - 1) // 2, n))
+        p = 0
+        for i in range(n):
+            for j in range(i + 1, n):
+                m[p, i] = m[p, j] = 1.0
+                p += 1
+        return m
+
+    @pytest.mark.parametrize("n", [2, 5, 7, 50])
+    def test_equal_to_the_float64_product(self, n):
+        ne = n * (n - 1) // 2
+        rng = spawn_rng(n)
+        mat = np.vstack(
+            [
+                np.zeros(ne, dtype=np.uint8),
+                np.ones(ne, dtype=np.uint8),
+                (rng.random((40, ne)) < rng.random((40, 1))).astype(np.uint8),
+            ]
+        )
+        degrees = mat.astype(np.float64) @ self.incidence64(n)
+        for q in (0.0, 0.1, 0.5, 0.9, 1.0):
+            got = statistic_values(DegreeQuantile(q), mat, n)
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.quantile(degrees, q, axis=1))
+        assert np.array_equal(statistic_values(EdgeCount(), mat, n), degrees.sum(axis=1) / 2)
+        assert np.array_equal(statistic_values(MeanDegree(), mat, n), degrees.sum(axis=1) / n)

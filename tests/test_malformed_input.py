@@ -142,3 +142,64 @@ def test_manifest_carries_the_package_version(tmp_path):
     path = tmp_path / "manifest.json"
     gio.write_manifest(str(path), {}, 0, [], "start", "end")
     assert json.loads(path.read_text())["version"] == graphpop.__version__
+
+
+def _set_config(key, value):
+    def edit(records):
+        records[0]["config"][key] = value
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit_trace, field",
+    [
+        (_set_config("lag", "x"), "lag"),
+        (_set_config("n_samples", 2.5), "n_samples"),
+        (_set_config("seed", True), "seed"),
+        (_set_config("flip_prob_tau", "0.1"), "flip_prob_tau"),
+        (_set_config("step_sizes_upsilon", 0.1), "step_sizes_upsilon"),
+        (_set_config("step_sizes_upsilon", [0.1, None]), "step_sizes_upsilon"),
+        (_set_config("aux_inner_steps", [20]), "aux_inner_steps"),
+        (_set(0, "config", 5), "config"),
+        (_set(0, "accept_counts", 5), "accept_counts"),
+        (_set(0, "accept_counts", {"flip": 3}), "accept_counts"),
+        (_set(0, "accept_counts", {"flip": [1, 2, 3]}), "accept_counts"),
+        (_set(0, "accept_counts", {"flip": [1, "2"]}), "accept_counts"),
+    ],
+    ids=[
+        "lag-string",
+        "n-samples-float",
+        "seed-bool",
+        "tau-string",
+        "upsilons-number",
+        "upsilons-null-entry",
+        "inner-steps-list",
+        "config-number",
+        "accepts-number",
+        "accepts-count-not-a-pair",
+        "accepts-triple",
+        "accepts-string-count",
+    ],
+)
+def test_mistyped_trace_header_exits_one_naming_the_field(tmp_path, capsys, edit_trace, field):
+    data, trace_path = _write_inputs(tmp_path, edit_trace=edit_trace)
+    with pytest.raises(SchemaError) as exc:
+        gio.read_trace(str(trace_path))
+    assert exc.value.field == field and "line 1" in str(exc.value)
+    assert main(_diagnose(tmp_path, data, trace_path)) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    assert json.loads(line)["error"] == "SchemaError"
+
+
+def test_well_typed_header_values_still_load(tmp_path):
+    def edit(records):
+        records[0]["config"].update(flip_prob_tau=0.25, kernel_mix_weight=1, step_sizes_upsilon=[1, 0.5])
+        records[0]["accept_counts"] = {"flip": [2, 5], "empirical": [0, 0]}
+
+    _, trace_path = _write_inputs(tmp_path, edit_trace=edit)
+    back = gio.read_trace(str(trace_path))
+    assert back.config == McmcConfig(
+        n_samples=3, flip_prob_tau=0.25, kernel_mix_weight=1, step_sizes_upsilon=(1, 0.5)
+    )
+    assert back.accept_counts == {"flip": (2, 5), "empirical": (0, 0)}

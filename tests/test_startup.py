@@ -1,8 +1,8 @@
-"""Start-up cost: scipy loads only in the functions that need it.
+"""Start-up cost: scipy and multiprocessing load only in the functions that need them.
 
 Importing ``scipy.stats`` costs about a second, so every CLI command would pay
-it at start-up. Each test runs a fresh interpreter and lists the scipy modules
-loaded at the end.
+it at start-up. Each test runs a fresh interpreter and lists the scipy (or
+multiprocessing) modules loaded at the end.
 """
 
 import json
@@ -79,3 +79,17 @@ def test_fit_sn_loads_no_scipy(inputs):
         "gamma_upsilons=0.1,0.5\nalpha_tilde=0.2\naux_inner_steps=20\n",
     )
     assert _scipy_modules_after(["fit-sn", "--config", cfg, "--out", str(tmp / "sn")]) == []
+
+
+def test_importing_the_cli_loads_no_multiprocessing():
+    """The replicate pool imports ``multiprocessing`` only when a study builds one."""
+    probe = (
+        "import json, sys\nimport graphpop.cli\n"
+        "print(json.dumps(sorted(m for m in sys.modules if m.split('.')[0] == 'multiprocessing'"
+        " or m == 'concurrent.futures.process')))"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    cmd = [sys.executable, "-c", probe]
+    done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.strip().splitlines()[-1]) == []
