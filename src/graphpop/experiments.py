@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import partial
 from itertools import repeat
-from math import sqrt
+from math import exp, lgamma, log, sqrt
 from typing import Optional, Sequence
 
 import numpy as np
@@ -300,6 +300,25 @@ class PredictionResult:
         return self.psi_delta / self.rho_delta
 
 
+def binomial_quantile(q: float, n: int, p: float) -> int:
+    """Smallest k with P(Binomial(n, p) <= k) >= q, for 0 < p < 1.
+
+    The CDF is summed from k = 0 with pmfs from ``math.lgamma``, so no scipy
+    module loads. Only k = n reaches q >= 1, which the rounded sum may reach
+    earlier or never, so that level is answered directly.
+    """
+    if q >= 1.0:
+        return n
+    log_p, log_q = log(p), log(1.0 - p)
+    log_nfact = lgamma(n + 1)
+    cdf = 0.0
+    for k in range(n + 1):
+        cdf += exp(log_nfact - lgamma(k + 1) - lgamma(n - k + 1) + k * log_p + (n - k) * log_q)
+        if cdf >= q:
+            return k
+    return n
+
+
 def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     """Smallest radius whose model ball around the truth holds >= 1-delta mass.
 
@@ -308,11 +327,7 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     """
     ne = n_pairs(cfg.n_vertices)
     if cfg.model == "cer":
-        # Imported here: only a CER prediction study needs scipy.stats, whose
-        # import would cost every command about a second at start-up.
-        from scipy.stats import binom
-
-        return float(binom.ppf(1.0 - cfg.delta, ne, cfg.data_alpha))
+        return float(binomial_quantile(1.0 - cfg.delta, ne, cfg.data_alpha))
     steps, tau = cfg.mcmc.resolved_aux_steps(ne), cfg.mcmc.resolved_tau(ne)
     engine = _MetricEngine(cfg.metric, cfg.n_vertices)
     # The chains return each draw's distance to the truth (their mode).

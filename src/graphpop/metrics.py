@@ -11,6 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from math import ceil, factorial, log2
 
 import numpy as np
 
@@ -37,30 +38,81 @@ def laplacian(g: LabelledGraph) -> np.ndarray:
     return np.diag(a.sum(axis=1)) - a
 
 
+def _diagonals(stack: np.ndarray) -> np.ndarray:
+    """Writable (..., N) view of the diagonals of a C-contiguous (..., N, N) stack."""
+    n = stack.shape[-1]
+    return stack.reshape(*stack.shape[:-2], n * n)[..., :: n + 1]
+
+
+def _laplacians(mat: np.ndarray, n_vertices: int) -> np.ndarray:
+    """Combinatorial Laplacians of every row of a (k, n_pairs) uint8 edge matrix, as (k, N, N)."""
+    k, n = mat.shape[0], n_vertices
+    ii, jj = pair_positions(n)
+    adj = np.zeros((k, n * n), dtype=np.float64)
+    adj[:, ii * n + jj] = mat
+    adj[:, jj * n + ii] = mat
+    adj = adj.reshape(k, n, n)
+    # Degrees go onto a zero matrix before subtracting, as in ``laplacian``:
+    # negating the adjacency would write -0.0 where it has 0.0 and change bits.
+    lap = np.zeros_like(adj)
+    _diagonals(lap)[...] = adj.sum(axis=2)
+    lap -= adj
+    return lap
+
+
 def heat_kernels(mat: np.ndarray, n_vertices: int, t: float) -> np.ndarray:
     """exp(-tL) for every row of a (k, n_pairs) uint8 edge matrix, as a (k, N, N) stack.
 
     One batched symmetric eigendecomposition covers all k Laplacians; row i
     equals ``heat_kernel`` of the graph with edge vector ``mat[i]`` bit for bit.
     """
-    k = mat.shape[0]
-    ii, jj = pair_positions(n_vertices)
-    adj = np.zeros((k, n_vertices, n_vertices), dtype=np.float64)
-    adj[:, ii, jj] = mat
-    adj[:, jj, ii] = mat
-    # Degrees go onto a zero matrix before subtracting, as in ``laplacian``:
-    # negating the adjacency would write -0.0 where it has 0.0 and change bits.
-    lap = np.zeros_like(adj)
-    diag = np.arange(n_vertices)
-    lap[:, diag, diag] = adj.sum(axis=2)
-    lap -= adj
     try:
-        eigvals, eigvecs = np.linalg.eigh(lap)
+        eigvals, eigvecs = np.linalg.eigh(_laplacians(mat, n_vertices))
     except np.linalg.LinAlgError as exc:
         raise EigDecompositionFailureError(str(exc)) from exc
     # matmul, not einsum: it reproduces the single-matrix product bit for bit.
     kernels = (eigvecs * np.exp(-t * eigvals)[:, None, :]) @ eigvecs.swapaxes(1, 2)
     return 0.5 * (kernels + kernels.swapaxes(1, 2))
+
+
+# Degree-15 Taylor polynomial of exp, evaluated by Paterson-Stockmeyer as
+# P0 + X^4 (P1 + X^4 (P2 + X^4 P3)) with Pj = c[4j] I + c[4j+1] X + c[4j+2] X^2
+# + c[4j+3] X^3. After scaling, ||X||_1 <= 1/2, so the truncation error is at
+# most (1/2)^16 / 16! * e^(1/2) < 2e-18 in the 1-norm (Moler & Van Loan 2003).
+_TAYLOR_THETA = 0.5
+_TAYLOR_C = np.array([1.0 / factorial(i) for i in range(16)])
+_PS_POWERS = _TAYLOR_C.reshape(4, 4)[:, 1:].copy()  # coefficients of X, X^2, X^3 per block
+_PS_IDENTITY = _TAYLOR_C.reshape(4, 4)[:, 0].copy()  # coefficient of I per block
+
+
+def taylor_heat_kernels(mat: np.ndarray, n_vertices: int, t: float) -> np.ndarray:
+    """exp(-tL) for every row of a (k, n_pairs) uint8 edge matrix, by scaling and squaring.
+
+    -tL is scaled by 2^-s with s chosen from the exact ||tL||_1 = 2t * (max
+    degree) so that its 1-norm is at most 1/2, a degree-15 Taylor polynomial
+    is evaluated with six batched products, and the result is squared s times.
+    It agrees with ``heat_kernels`` to ~1e-14 per entry but not bit for bit,
+    so it is meant for decisions that ``heat_kernels`` can re-check.
+    """
+    lap = _laplacians(mat, n_vertices)
+    k, n = lap.shape[0], n_vertices
+    norm = 2.0 * t * _diagonals(lap).max(initial=0.0)
+    s = max(0, ceil(log2(norm / _TAYLOR_THETA))) if norm > 0.0 else 0
+    powers = np.empty((3, k, n, n))
+    np.multiply(lap, -t / 2.0**s, out=powers[0])
+    np.matmul(powers[0], powers[0], out=powers[1])
+    np.matmul(powers[1], powers[0], out=powers[2])
+    x4 = powers[1] @ powers[1]
+    blocks = (_PS_POWERS @ powers.reshape(3, -1)).reshape(4, k, n, n)
+    diag = _diagonals(blocks)
+    diag += _PS_IDENTITY[:, None, None]
+    out = blocks[3]
+    for j in (2, 1, 0):
+        out = out @ x4
+        out += blocks[j]
+    for _ in range(s):
+        out = out @ out
+    return out
 
 
 @lru_cache(maxsize=4096)

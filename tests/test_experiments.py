@@ -8,6 +8,7 @@ from graphpop.diagnostics import DegreeQuantile
 from graphpop.errors import DomainError, InvalidSpecError
 from graphpop.experiments import (
     StudyConfig,
+    binomial_quantile,
     concentration_study,
     derive_seed,
     dynamic_markov_sample,
@@ -320,3 +321,16 @@ class TestStudyConfigValidation:
     def test_resolved_gamma_default_matches_alpha(self):
         cfg = small_cfg(data_alpha=0.2)
         assert cfg.resolved_gamma == pytest.approx(math.log(0.8 / 0.2))
+
+
+class TestBinomialQuantile:
+    @pytest.mark.parametrize("n", [1, 6, 45, 190, 1225])
+    @pytest.mark.parametrize("p", [1e-4, 0.01, 0.05, 0.3, 0.4999])
+    @pytest.mark.parametrize("q", [0.5, 0.9, 0.95, 0.999])
+    def test_equals_scipy_ppf(self, n, p, q):
+        assert binomial_quantile(q, n, p) == sstats.binom.ppf(q, n, p)
+
+    def test_level_one_is_n(self):
+        # 1 - delta rounds to 1.0 for delta < 1.1e-16; the summed CDF reaches
+        # 1.0 by rounding at k = 29 here, but only k = n has CDF 1.
+        assert binomial_quantile(1.0 - 1e-17, 30, 0.3) == sstats.binom.ppf(1.0, 30, 0.3) == 30

@@ -93,3 +93,14 @@ def test_importing_the_cli_loads_no_multiprocessing():
     done = subprocess.run(cmd, capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.strip().splitlines()[-1]) == []
+
+
+def test_cer_prediction_study_loads_no_scipy_stats(tmp_path):
+    """The CER contour radius is a Binomial quantile summed with ``math`` alone."""
+    cfg = _config(
+        tmp_path / "pred.cfg",
+        "study=prediction\nmodel=cer\np=0.3\nn_vertices=8\ndata_alpha=0.05\n"
+        "sample_sizes=2\nn_replicates=1\ntest_size=3\nn_predictive=3\n",
+    )
+    modules = _scipy_modules_after(["experiment", "--config", cfg, "--out", str(tmp_path / "o")])
+    assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
