@@ -324,7 +324,10 @@ class _MetricEngine:
     For N <= 5 the full pairwise table over the enumerated space is used, which
     makes diffusion distances a table lookup inside the samplers. Above that,
     the last mode's heat kernel is memoised, and kernels are built in chunks of
-    rows so that no (rows, N, N) array exceeds 1 MiB.
+    rows so that no (rows, N, N) array exceeds 256 KiB: a Taylor batch keeps
+    about ten such arrays live. With 1 MiB arrays (52 rows at N = 50), the
+    accept-path batches of 10 chains stepped 1.2x slower than one batch per
+    step; with 256 KiB (13 rows) they step ~4% faster.
     """
 
     def __init__(self, metric: MetricSpec, n_vertices: int):
@@ -335,7 +338,7 @@ class _MetricEngine:
         if self.small:
             self.table = _space_distance_table(n_vertices, metric.kind, metric.t)
             self.pow2 = 1 << np.arange(self.ne, dtype=np.uint64)
-        self.chunk = max(1, (1 << 17) // max(1, n_vertices * n_vertices))
+        self.chunk = max(1, (1 << 15) // max(1, n_vertices * n_vertices))
         self._mode_key: Optional[bytes] = None
         self._mode_kernel: Optional[np.ndarray] = None
 
@@ -379,6 +382,109 @@ class _MetricEngine:
 # so every decision outside the band is the one eigh distances would give.
 TAYLOR_BAND = 1e-9
 
+# Most proposals of one chain scored in one batch, along its accept path.
+W_MAX = 8
+
+
+def _run_proposals(states, d, flips, lu, ends, mode_vec, gamma, engine, taylor, tally):
+    """Advance each chain through its own proposals in accept-path batches.
+
+    Chain c's proposals are rows ``ends[c-1]:ends[c]`` of ``flips`` (masks that
+    flip something, in step order) and of ``lu`` (their log u). ``states`` and
+    ``d`` are updated in place, and ``tally`` (accepted, decided) carries the
+    running acceptance across blocks. ``snf_mh_matrix`` describes the batches.
+    """
+    phi = engine.metric.apply_phi
+    pos = np.concatenate(([0], ends[:-1]))
+    live = np.flatnonzero(pos < ends)
+    pre = None
+    while live.size:
+        accepted, decided = tally
+        w = min(W_MAX, round(decided / (decided - accepted)), engine.chunk // live.size)
+        p = pos[live]
+        if w <= 1:
+            # One proposal per chain needs no prefix, grid or window; the
+            # window path at w = 1 stepped 1.5x slower at gamma = 60, N = 15.
+            cand = states[live] ^ flips[p]
+            dc = engine.dist_to(cand, mode_vec, taylor_heat_kernels)
+            ec, es, lu_w = phi(dc), phi(d[live]), lu[p]
+            delta = -gamma * (ec - es)
+            acc = lu_w < delta
+            if taylor:
+                tie = np.abs(delta - lu_w) <= gamma * TAYLOR_BAND * (1.0 + ec + es)
+                if tie.any():
+                    acc &= ~tie
+                    tally[0] += _decide_on_eigh(
+                        live[tie], cand[tie], lu_w[tie], states, d, mode_vec, gamma, engine
+                    )
+            if acc.any():
+                states[live[acc]] = cand[acc]
+                d[live[acc]] = dc[acc]
+                tally[0] += int(acc.sum())
+            tally[1] += live.size
+            pos[live] += 1
+        else:
+            if pre is None:
+                # pre[k] = flips[0] ^ ... ^ flips[k-1], so a chain at proposal p
+                # in state s proposes s ^ pre[p] ^ pre[k + 1] at k on its path.
+                # Rows are padded to whole uint64 words, which XOR 8 bytes at once.
+                n, ne = flips.shape
+                pad = np.zeros((n + 1, -(-ne // 8) * 8), dtype=np.uint8)
+                pad[1:, :ne] = flips
+                words = pad.view(np.uint64)
+                np.bitwise_xor.accumulate(words[1:], axis=0, out=words[1:])
+                pre = pad[:, :ne]
+            k = p[:, None] + np.arange(w)
+            valid = k < ends[live, None]
+            width = valid.sum(axis=1)
+            first = width.cumsum() - width  # row of each chain's first candidate
+            cand = np.repeat(states[live] ^ pre[p], width, axis=0) ^ pre[k[valid] + 1]
+            dc = engine.dist_to(cand, mode_vec, taylor_heat_kernels)
+            dw = np.full(k.shape, np.nan)  # NaN past a chain's last proposal: never accepted
+            dw[valid] = dc
+            ds = np.empty_like(dw)
+            ds[:, 0] = d[live]
+            ds[:, 1:] = dw[:, :-1]
+            ec, es, lu_w = phi(dw), phi(ds), lu[np.minimum(k, lu.size - 1)]
+            delta = -gamma * (ec - es)
+            stop = np.ones((live.size, w + 1), dtype=bool)
+            np.logical_not(lu_w < delta, out=stop[:, :w])
+            if taylor:
+                tie = np.abs(delta - lu_w) <= gamma * TAYLOR_BAND * (1.0 + ec + es)
+                stop[:, :w] |= tie
+            n_acc = stop.argmax(axis=1)  # accepted decisions on each chain's path
+            moved = np.flatnonzero(n_acc)
+            last = first[moved] + n_acc[moved] - 1
+            states[live[moved]] = cand[last]
+            d[live[moved]] = dc[last]
+            tally[0] += int(n_acc.sum())
+            kept = n_acc < width  # the decision that ended the window: a rejection
+            if taylor:
+                tied = kept & tie[np.arange(live.size), np.minimum(n_acc, w - 1)]
+                kept &= ~tied
+                head = np.flatnonzero(tied & (n_acc == 0))
+                if head.size:
+                    tally[0] += _decide_on_eigh(
+                        live[head], cand[first[head]], lu_w[head, 0], states, d, mode_vec,
+                        gamma, engine,
+                    )
+                    kept[head] = True
+            step = n_acc + kept
+            tally[1] += int(step.sum())
+            pos[live] += step
+        live = live[pos[live] < ends[live]]
+
+
+def _decide_on_eigh(rows, cand, lu, states, d, mode_vec, gamma, engine):
+    """Decide chains ``rows``' proposals ``cand`` on eigh distances; returns the accepts."""
+    phi = engine.metric.apply_phi
+    dc = engine.dist_to(cand, mode_vec)
+    d[rows] = engine.dist_to(states[rows], mode_vec)
+    acc = lu < -gamma * (phi(dc) - phi(d[rows]))
+    states[rows[acc]] = cand[acc]
+    d[rows[acc]] = dc[acc]
+    return int(acc.sum())
+
 
 def snf_mh_matrix(
     mode_vec: np.ndarray,
@@ -395,18 +501,32 @@ def snf_mh_matrix(
     Chains start at the mode unless ``start`` rows are given; returns the final
     states as a uint8 matrix plus their raw distances to the mode.
 
-    Under the diffusion metric above N = 5, each step scores the moving chains'
-    proposals with ``taylor_heat_kernels`` (scaling and squaring, within ~1e-14
-    per kernel entry of ``heat_kernels``) and decides on those distances. A
-    decision whose margin |-gamma (phi(d_c) - phi(d_s)) - log u| is within
-    gamma * TAYLOR_BAND * (1 + phi(d_c) + phi(d_s)) is taken again on eigh
+    Above N = 5 the masks and log u of a block of steps are drawn at once, and
+    a chain whose mask is empty skips that step. Each chain then runs through
+    its own non-empty proposals, and one distance batch scores up to w of
+    every chain's next proposals along its accept path: candidate j is the
+    state XOR masks 1..j. A chain keeps every decision up to and including its
+    first rejection; the rows scored past it are discarded. So each decision
+    sees the candidate, current state and log u of a step-by-step loop.
+    w = round(1 / (1 - a)) for this call's running acceptance a, clamped to
+    [1, W_MAX], and a batch holds at most ``engine.chunk`` rows.
+
+    Under the diffusion metric, batches score with ``taylor_heat_kernels``
+    (scaling and squaring, within ~1e-14 per kernel entry of
+    ``heat_kernels``). A decision whose margin |-gamma (phi(d_c) - phi(d_s)) -
+    log u| is within gamma * TAYLOR_BAND * (1 + phi(d_c) + phi(d_s)) ends the
+    window before it; at the head of a window it is taken again on eigh
     (``heat_kernels``) distances of both the proposal and the current state.
     The returned distances are recomputed through ``heat_kernels``, and
     ``InternalInconsistencyError`` is raised if any running distance is off by
     more than the band. So states and distances are bit-identical to a chain
-    that uses ``heat_kernels`` at every step. With 10 chains, 1 BLAS thread on
-    a 2-vCPU VM, a step costs ~0.2 ms at N = 15 (eigh at every step: ~0.4 ms)
-    and ~0.95 ms at N = 50 (eigh: ~3.3 ms).
+    that steps one proposal at a time on ``heat_kernels``.
+
+    With 10 chains and 1 BLAS thread on a 2-vCPU VM, a step costs 0.62-0.65x
+    of one batch per step at N = 15 and gamma = 4.6 (87% accepted, w = 8;
+    0.08-0.13 ms as the VM's load varied), 0.77-0.84x at gamma = 60 (6%
+    accepted, w = 1) and ~0.96x at N = 50 (~0.9-1.0 ms; w = 1 within the
+    chunk, and the kernels are most of the cost).
     """
     if engine.small:
         return _snf_mh_small(mode_vec, gamma, engine, n_chains, steps, tau, rng, start)
@@ -421,6 +541,7 @@ def snf_mh_matrix(
     # Bound the pregenerated proposal block to 4M mask entries: ~4 MB of uint8
     # masks, drawn from ~32 MB of float64 uniforms.
     block = max(1, min(steps, (1 << 22) // max(1, n_chains * engine.ne)))
+    tally = [0, 1]  # accepted, decided: this call's running acceptance, from 0
     done = 0
     while done < steps:
         m = min(block, steps - done)
@@ -428,27 +549,12 @@ def snf_mh_matrix(
         logu = np.log(rng.random((m, n_chains)))
         # A chain whose mask is empty proposes its own state, which log u < 0
         # always accepts unchanged, so only chains that flip something run.
-        moves = masks.any(axis=2)
-        for t in range(m):
-            rows = np.flatnonzero(moves[t])
-            if rows.size == 0:
-                continue
-            cand = (states ^ masks[t])[rows]
-            lu = logu[t, rows]
-            if taylor:
-                dc = engine.dist_to(cand, mode_vec, taylor_heat_kernels)
-                ec, es = phi(dc), phi(d[rows])
-                tie = np.abs(-gamma * (ec - es) - lu) <= gamma * TAYLOR_BAND * (1.0 + ec + es)
-                if tie.any():
-                    dc[tie] = engine.dist_to(cand[tie], mode_vec)
-                    d[rows[tie]] = engine.dist_to(states[rows[tie]], mode_vec)
-            else:
-                dc = engine.dist_to(cand, mode_vec)
-            acc = lu < -gamma * (phi(dc) - phi(d[rows]))
-            if acc.any():
-                moved = rows[acc]
-                states[moved] = cand[acc]
-                d[moved] = dc[acc]
+        chain, step = np.nonzero(masks.any(axis=2).T)
+        _run_proposals(
+            states, d, masks[step, chain], logu[step, chain],
+            np.bincount(chain, minlength=n_chains).cumsum(),
+            mode_vec, gamma, engine, taylor, tally,
+        )
         done += m
     if taylor:
         exact = engine.dist_to(states, mode_vec)
