@@ -2,7 +2,8 @@
 
 Both diagnostics reduce a network to a univariate summary (degree quantiles by
 default). Replicate populations are simulated per posterior draw: directly for
-the CER family, and through inner Metropolis chains for the SNF. The model CDF
+the CER family, and through inner Metropolis chains for the SNF. Checked
+together, several statistics share each draw's population. The model CDF
 needed by the chi-squared has no closed form for either family, so it is
 estimated by Monte Carlo; a randomized probability integral transform repairs
 the discreteness of the statistic before binning.
@@ -68,14 +69,51 @@ def _incidence(n_vertices: int) -> np.ndarray:
     return m
 
 
+def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(rows, q, axis=1)`` of rows already sorted ascending.
+
+    numpy's linear method: the level sits at position (N - 1)·q between the
+    entries a and b around it, and is read as a + (b - a)·t for a fraction
+    t < 0.5, else as b - (b - a)·(1 - t), so the values are the same bits.
+    """
+    last = rows.shape[1] - 1
+    pos = last * q
+    if pos >= last:
+        return rows[:, last].astype(np.float64)
+    lo = int(pos)
+    t = pos - lo
+    a = rows[:, lo].astype(np.float64)
+    b = rows[:, lo + 1].astype(np.float64)
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
+
+
+def _statistic_rows(
+    stats: tuple[StatisticSpec, ...], mat: np.ndarray, n_vertices: int
+) -> list[np.ndarray]:
+    """Each statistic on every row of an edge-indicator matrix, in the order given.
+
+    The degree quantiles share one incidence product and one sort of the
+    degree rows, whatever their number.
+    """
+    sorted_degrees = None
+    out = []
+    for stat in stats:
+        if isinstance(stat, EdgeCount):
+            out.append(mat.sum(axis=1).astype(np.float64))
+        elif isinstance(stat, MeanDegree):
+            out.append(2.0 * mat.sum(axis=1) / n_vertices)
+        else:
+            if sorted_degrees is None:
+                degrees = mat.astype(np.float32) @ _incidence(n_vertices)
+                sorted_degrees = np.sort(degrees, axis=1)
+            out.append(_sorted_quantile(sorted_degrees, stat.q))
+    return out
+
+
 def statistic_values(stat: StatisticSpec, mat: np.ndarray, n_vertices: int) -> np.ndarray:
     """Evaluate the statistic on every row of an edge-indicator matrix."""
-    if isinstance(stat, EdgeCount):
-        return mat.sum(axis=1).astype(np.float64)
-    if isinstance(stat, MeanDegree):
-        return 2.0 * mat.sum(axis=1) / n_vertices
-    degrees = mat.astype(np.float32) @ _incidence(n_vertices)
-    return np.quantile(degrees.astype(np.float64), stat.q, axis=1)
+    return _statistic_rows((stat,), mat, n_vertices)[0]
 
 
 def predictive_draws(
@@ -114,6 +152,45 @@ class PpcResult:
     tail_prob: float
 
 
+def posterior_predictive_checks(
+    trace: Trace,
+    model: str,
+    pop: GraphPopulation,
+    stats: tuple[StatisticSpec, ...],
+    k_draws: int,
+    rng: np.random.Generator,
+    metric: Optional[MetricSpec] = None,
+    inner_steps: Optional[int] = None,
+    tau: Optional[float] = None,
+) -> list[PpcResult]:
+    """Two-sided tail probability of each observed statistic under the predictive.
+
+    For each of ``k_draws`` posterior draws, one replicate population of the
+    observed size is simulated from the fitted model, and every statistic is
+    evaluated on it and averaged over its networks; each result compares the
+    observed value against its replicates. RNG order: the ``k_draws`` trace
+    indices, then one replicate population per draw. The statistics take no
+    draws, so the stream does not depend on their number.
+    """
+    if len(trace) == 0:
+        raise EmptyTraceError("posterior predictive check needs a non-empty trace")
+    if k_draws < 100:
+        raise DomainError("k_draws must be at least 100 for a usable tail estimate")
+    n_vertices = pop.n_vertices
+    eta0 = [float(v.mean()) for v in _statistic_rows(stats, pop.to_matrix(), n_vertices)]
+    idx = rng.integers(len(trace), size=k_draws)
+    reps = _replicates(trace, idx, model, metric, inner_steps, tau, len(pop), rng)
+    draws = np.empty((len(stats), k_draws))
+    for j, rep in enumerate(reps):
+        draws[:, j] = [v.mean() for v in _statistic_rows(stats, rep, n_vertices)]
+    out = []
+    for e, d in zip(eta0, draws):
+        p_hi = float((d >= e).mean())
+        p_lo = float((d <= e).mean())
+        out.append(PpcResult(e, d, min(1.0, 2.0 * min(p_hi, p_lo))))
+    return out
+
+
 def posterior_predictive_check(
     trace: Trace,
     model: str,
@@ -125,26 +202,10 @@ def posterior_predictive_check(
     inner_steps: Optional[int] = None,
     tau: Optional[float] = None,
 ) -> PpcResult:
-    """Two-sided tail probability of the observed statistic under the predictive.
-
-    For each of ``k_draws`` posterior draws, a replicate population of the
-    observed size is simulated from the fitted model and summarized by the
-    statistic averaged over its networks; the result compares the observed
-    value against those replicates.
-    """
-    if len(trace) == 0:
-        raise EmptyTraceError("posterior predictive check needs a non-empty trace")
-    if k_draws < 100:
-        raise DomainError("k_draws must be at least 100 for a usable tail estimate")
-    n_vertices = pop.n_vertices
-    eta0 = float(statistic_values(stat, pop.to_matrix(), n_vertices).mean())
-    idx = rng.integers(len(trace), size=k_draws)
-    reps = _replicates(trace, idx, model, metric, inner_steps, tau, len(pop), rng)
-    draws = np.array([statistic_values(stat, rep, n_vertices).mean() for rep in reps])
-    p_hi = float((draws >= eta0).mean())
-    p_lo = float((draws <= eta0).mean())
-    tail = min(1.0, 2.0 * min(p_hi, p_lo))
-    return PpcResult(eta0, draws, tail)
+    """``posterior_predictive_checks`` for one statistic."""
+    return posterior_predictive_checks(
+        trace, model, pop, (stat,), k_draws, rng, metric, inner_steps, tau
+    )[0]
 
 
 # ---------------------------------------------------------------------------
@@ -217,11 +278,17 @@ def chi2_quantile(q, df):
     return 2.0 * gammaincinv(df / 2, q)
 
 
-def bayes_chi2(
+# 0.95 quantiles of chi-squared at df 1-4, equal to ``chi2_quantile(0.95, df)``:
+# a chi-squared with at most five bins, as in the robustness study, loads no
+# scipy module.
+_CHI2_95 = {1: 3.841458820694124, 2: 5.991464547107979, 3: 7.814727903251179, 4: 9.487729036781154}
+
+
+def bayes_chi2_checks(
     trace: Trace,
     model: str,
     pop: GraphPopulation,
-    stat: StatisticSpec,
+    stats: tuple[StatisticSpec, ...],
     cfg: Chi2Config,
     rng: np.random.Generator,
     metric: Optional[MetricSpec] = None,
@@ -229,14 +296,17 @@ def bayes_chi2(
     max_draws: Optional[int] = None,
     inner_steps: Optional[int] = None,
     tau: Optional[float] = None,
-) -> Chi2Result:
-    """Binned goodness-of-fit statistic R^B per posterior draw.
+) -> list[Chi2Result]:
+    """Binned goodness-of-fit statistic R^B per posterior draw, for each statistic.
 
-    Per draw, the model CDF of the statistic is estimated from ``n_sims``
-    simulations; randomized PIT values of the observations are binned, and
-    R^B sums the squared standardized discrepancies between bin counts and
-    their expectations. Reported alongside is the fraction of draws whose R^B
-    exceeds the 0.95 quantile of chi-squared with D-1 degrees of freedom.
+    Per draw, ``n_sims`` networks are simulated once, and the model CDF of
+    every statistic is estimated from them; randomized PIT values of the
+    observations are binned, and R^B sums the squared standardized
+    discrepancies between bin counts and their expectations. Reported
+    alongside is the fraction of draws whose R^B exceeds the 0.95 quantile of
+    chi-squared with D-1 degrees of freedom. RNG order: the trace indices when
+    ``max_draws`` subsamples, then per draw one simulated population followed
+    by one PIT uniform vector per statistic, in the order given.
     """
     if len(trace) == 0:
         raise EmptyTraceError("the Bayesian chi-squared needs a non-empty trace")
@@ -250,17 +320,39 @@ def bayes_chi2(
             f"{n} observations cannot fill {cfg.n_bins} bins meaningfully"
         )
     n_vertices = pop.n_vertices
-    y_obs = statistic_values(stat, pop.to_matrix(), n_vertices)
+    y_obs = _statistic_rows(stats, pop.to_matrix(), n_vertices)
     if max_draws is not None and len(trace) > max_draws:
         draw_idx = rng.integers(len(trace), size=max_draws)
     else:
         draw_idx = np.arange(len(trace))
-    # Lazy: each population is drawn before its PIT takes uniforms from the same rng.
+    # Lazy: each population is drawn before its PITs take uniforms from the same rng.
     sims = _replicates(trace, draw_idx, model, metric, inner_steps, tau, n_sims, rng)
-    pits = (randomized_pit(y_obs, statistic_values(stat, s, n_vertices), rng) for s in sims)
-    rb = np.fromiter((rb_statistic(u, cfg) for u in pits), dtype=np.float64)
-    threshold = float(chi2_quantile(0.95, cfg.n_bins - 1))
-    return Chi2Result(rb, float((rb > threshold).mean()), threshold)
+    rb = np.empty((len(stats), len(draw_idx)))
+    for j, s in enumerate(sims):
+        for i, (y, v) in enumerate(zip(y_obs, _statistic_rows(stats, s, n_vertices))):
+            rb[i, j] = rb_statistic(randomized_pit(y, v, rng), cfg)
+    df = cfg.n_bins - 1
+    threshold = _CHI2_95[df] if df in _CHI2_95 else float(chi2_quantile(0.95, df))
+    return [Chi2Result(r, float((r > threshold).mean()), threshold) for r in rb]
+
+
+def bayes_chi2(
+    trace: Trace,
+    model: str,
+    pop: GraphPopulation,
+    stat: StatisticSpec,
+    cfg: Chi2Config,
+    rng: np.random.Generator,
+    metric: Optional[MetricSpec] = None,
+    n_sims: int = 500,
+    max_draws: Optional[int] = None,
+    inner_steps: Optional[int] = None,
+    tau: Optional[float] = None,
+) -> Chi2Result:
+    """``bayes_chi2_checks`` for one statistic."""
+    return bayes_chi2_checks(
+        trace, model, pop, (stat,), cfg, rng, metric, n_sims, max_draws, inner_steps, tau
+    )[0]
 
 
 # ---------------------------------------------------------------------------

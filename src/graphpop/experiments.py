@@ -26,8 +26,8 @@ from .diagnostics import (
     Chi2Config,
     DegreeQuantile,
     StatisticSpec,
-    bayes_chi2,
-    posterior_predictive_check,
+    bayes_chi2_checks,
+    posterior_predictive_checks,
     predictive_draws,
 )
 from .errors import DomainError, InvalidSpecError
@@ -441,6 +441,13 @@ def _misspecified_data(
 
 
 def _robustness_replicate(cfg: StudyConfig, task: tuple[int, int]) -> dict[str, tuple[bool, bool]]:
+    """Whether each diagnostic rejects the fit to one replicate, per statistic.
+
+    The statistics share one replicate population per posterior draw, in the
+    predictive check and in the chi-squared, so they are common random
+    numbers: their rejections are correlated within a replicate, while each
+    statistic's rejection rate keeps its distribution.
+    """
     n, r = task
     fit_metric = None if cfg.model == "cer" else cfg.metric
     knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
@@ -451,28 +458,29 @@ def _robustness_replicate(cfg: StudyConfig, task: tuple[int, int]) -> dict[str, 
     g0_vec = sample_matrix(CerParams(truth, cfg.data_alpha), 1, rng, cfg.mcmc)[0]
     g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
     trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
-    out = {}
-    for stat in cfg.statistics:
-        ppc = posterior_predictive_check(
-            trace, cfg.model, pop, stat, cfg.ppc_draws, rng, metric=fit_metric, **knobs
-        )
-        chi2 = bayes_chi2(
-            trace,
-            cfg.model,
-            pop,
-            stat,
-            chi2_cfg,
-            rng,
-            metric=fit_metric,
-            n_sims=cfg.chi2_sims,
-            max_draws=cfg.chi2_max_draws,
-            **knobs,
-        )
-        out[stat.name] = (
+    stats = cfg.statistics
+    ppcs = posterior_predictive_checks(
+        trace, cfg.model, pop, stats, cfg.ppc_draws, rng, metric=fit_metric, **knobs
+    )
+    chi2s = bayes_chi2_checks(
+        trace,
+        cfg.model,
+        pop,
+        stats,
+        chi2_cfg,
+        rng,
+        metric=fit_metric,
+        n_sims=cfg.chi2_sims,
+        max_draws=cfg.chi2_max_draws,
+        **knobs,
+    )
+    return {
+        stat.name: (
             ppc.tail_prob < cfg.nominal_level,
             chi2.exceedance_fraction > cfg.chi2_threshold,
         )
-    return out
+        for stat, ppc, chi2 in zip(stats, ppcs, chi2s)
+    }
 
 
 def robustness_study(cfg: StudyConfig) -> list[dict]:

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sstats
 
 from conftest import random_graph
@@ -10,6 +12,8 @@ from graphpop.diagnostics import (
     DegreeQuantile,
     EdgeCount,
     MeanDegree,
+    _CHI2_95,
+    _statistic_rows,
     bayes_chi2,
     chi2_quantile,
     gamma_profile,
@@ -322,3 +326,83 @@ class TestDegreeStatisticPrecision:
             assert np.array_equal(got, np.quantile(degrees, q, axis=1))
         assert np.array_equal(statistic_values(EdgeCount(), mat, n), degrees.sum(axis=1) / 2)
         assert np.array_equal(statistic_values(MeanDegree(), mat, n), degrees.sum(axis=1) / n)
+
+
+class TestChi2ThresholdTable:
+    """The 0.95 quantiles at df 1-4 are constants, so up to five bins load no scipy module."""
+
+    @pytest.mark.parametrize("df", [1, 2, 3, 4])
+    def test_entry_equals_chi2_quantile(self, df):
+        assert _CHI2_95[df] == chi2_quantile(0.95, df)
+
+    @pytest.mark.parametrize("n_bins", [2, 5, 6, 8])
+    def test_threshold_equals_chi2_quantile_on_both_sides_of_the_table(self, n_bins):
+        rng = spawn_rng(30)
+        pop = GraphPopulation(tuple(random_graph(6, rng, p=0.3) for _ in range(8)))
+        trace = make_trace([pop[0]], [0.1])
+        cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, n_bins + 1)))
+        res = bayes_chi2(trace, "cer", pop, EdgeCount(), cfg, spawn_rng(31), n_sims=10)
+        assert res.threshold == chi2_quantile(0.95, n_bins - 1)
+
+
+def _degrees64(mat, n):
+    """Degree rows in float64 through the adjacency matrix, independent of the incidence product."""
+    ii, jj = np.triu_indices(n, 1)
+    adj = np.zeros((len(mat), n, n))
+    adj[:, ii, jj] = mat
+    return adj.sum(axis=1) + adj.sum(axis=2)
+
+
+@st.composite
+def _rows_and_levels(draw):
+    n = draw(st.integers(1, 60))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    k = draw(st.integers(1, 12))
+    mat = (rng.random((k, n * (n - 1) // 2)) < rng.random((k, 1))).astype(np.uint8)
+    top = max(n - 1, 1)
+    level = st.one_of(
+        st.sampled_from([0.0, 1.0]),
+        st.floats(0.0, 1.0),
+        st.integers(0, top).map(lambda j: j / top),  # q·(N-1) an integer
+        st.integers(0, top - 1).map(lambda j: (j + 0.5) / top),  # fraction 1/2
+    )
+    return n, mat, draw(st.lists(level, min_size=1, max_size=5))
+
+
+class TestSharedDegreeSort:
+    """All degree quantiles of a statistic tuple come from one sort of the degree rows."""
+
+    @settings(deadline=None, max_examples=300)
+    @given(_rows_and_levels())
+    def test_quantiles_equal_np_quantile(self, case):
+        n, mat, levels = case
+        rows = _statistic_rows(tuple(DegreeQuantile(q) for q in levels), mat, n)
+        degrees = _degrees64(mat, n)
+        for q, got in zip(levels, rows):
+            assert got.dtype == np.float64
+            assert np.array_equal(got, np.quantile(degrees, q, axis=1)), q
+
+    @settings(deadline=None, max_examples=100)
+    @given(_rows_and_levels())
+    def test_mixed_tuple_equals_one_call_per_statistic(self, case):
+        n, mat, levels = case
+        stats = (EdgeCount(), *(DegreeQuantile(q) for q in levels), MeanDegree())
+        rows = _statistic_rows(stats, mat, n)
+        assert len(rows) == len(stats)
+        for stat, got in zip(stats, rows):
+            want = statistic_values(stat, mat, n)
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+        degrees = _degrees64(mat, n)
+        assert np.array_equal(rows[0], degrees.sum(axis=1) / 2)
+        assert np.array_equal(rows[-1], degrees.sum(axis=1) / n)
+
+    @pytest.mark.parametrize("n", [7, 50])
+    def test_dense_level_grid(self, n):
+        # Only about 3 in 1000 (row, level) pairs tell the two lerp forms apart.
+        rng = spawn_rng(n + 100)
+        mat = (rng.random((40, n * (n - 1) // 2)) < rng.random((40, 1))).astype(np.uint8)
+        levels = np.linspace(0.0, 1.0, 1001)
+        rows = _statistic_rows(tuple(DegreeQuantile(float(q)) for q in levels), mat, n)
+        degrees = _degrees64(mat, n)
+        for q, got in zip(levels, rows):
+            assert np.array_equal(got, np.quantile(degrees, float(q), axis=1)), q

@@ -20,8 +20,11 @@ from graphpop.diagnostics import (
     Chi2Config,
     DegreeQuantile,
     EdgeCount,
+    MeanDegree,
     bayes_chi2,
+    bayes_chi2_checks,
     posterior_predictive_check,
+    posterior_predictive_checks,
     predictive_draws,
     randomized_pit,
     rb_statistic,
@@ -29,8 +32,8 @@ from graphpop.diagnostics import (
 )
 from graphpop.errors import DomainError, InvalidSpecError
 from graphpop.experiments import StudyConfig, robustness_study
-from graphpop.graphs import ErdosRenyi, GraphPopulation
-from graphpop.inference import McmcConfig, Trace, sample_matrix, spawn_rng
+from graphpop.graphs import ErdosRenyi, GraphPopulation, LabelledGraph
+from graphpop.inference import McmcConfig, Trace, derive_seed, sample_matrix, spawn_rng
 from graphpop.metrics import MetricSpec
 from graphpop.models import CerParams, SnfParams
 
@@ -189,3 +192,145 @@ class TestAtLeastTwoBins:
         parsed = json.loads(line)
         assert parsed["error"] == "InvalidSpecError" and "at least 2" in parsed["message"]
         assert not (tmp_path / "o" / "study.csv").exists()
+
+
+# ---------------------------------------------------------------------------
+# Several statistics share one replicate population per posterior draw
+# ---------------------------------------------------------------------------
+
+
+def _reference_shared_ppc(
+    trace, model, pop, stats, k_draws, rng, metric=None, inner_steps=None, tau=None
+):
+    """Per draw, one ``sample_matrix`` population on which every statistic is evaluated."""
+    knobs = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
+    n_vertices = pop.n_vertices
+    idx = rng.integers(len(trace), size=k_draws)
+    draws = np.empty((len(stats), k_draws))
+    for out_i, trace_i in enumerate(idx):
+        params = _params(model, trace.graphs[trace_i], float(trace.params[trace_i]), metric)
+        rep = sample_matrix(params, len(pop), rng, knobs)
+        for s_i, stat in enumerate(stats):
+            draws[s_i, out_i] = float(statistic_values(stat, rep, n_vertices).mean())
+    return draws
+
+
+def _reference_shared_chi2(
+    trace, model, pop, stats, cfg, rng, metric=None, n_sims=500, max_draws=None,
+    inner_steps=None, tau=None,
+):
+    """Per draw, one simulated population, then one PIT vector per statistic in order."""
+    knobs = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
+    n_vertices = pop.n_vertices
+    y_obs = [statistic_values(stat, pop.to_matrix(), n_vertices) for stat in stats]
+    if max_draws is not None and len(trace) > max_draws:
+        draw_idx = rng.integers(len(trace), size=max_draws)
+    else:
+        draw_idx = np.arange(len(trace))
+    rb = np.empty((len(stats), len(draw_idx)))
+    for out_i, trace_i in enumerate(draw_idx):
+        params = _params(model, trace.graphs[trace_i], float(trace.params[trace_i]), metric)
+        sims = sample_matrix(params, n_sims, rng, knobs)
+        for s_i, stat in enumerate(stats):
+            u = randomized_pit(y_obs[s_i], statistic_values(stat, sims, n_vertices), rng)
+            rb[s_i, out_i] = rb_statistic(u, cfg)
+    return rb
+
+
+TWO_STATS = (DegreeQuantile(0.9), EdgeCount())
+THREE_STATS = (DegreeQuantile(0.1), MeanDegree(), DegreeQuantile(0.5))
+
+
+@pytest.mark.parametrize("model, n_vertices, metric, knobs", CASES, ids=IDS)
+class TestStatisticsShareOneReplicatePerDraw:
+    @pytest.mark.parametrize("stats", [TWO_STATS, THREE_STATS], ids=["two", "three"])
+    def test_ppc_draws(self, model, n_vertices, metric, knobs, stats):
+        trace, pop = _trace_and_pop(model, n_vertices, 1)
+        rng, ref_rng = spawn_rng(2), spawn_rng(2)
+        got = posterior_predictive_checks(
+            trace, model, pop, stats, 100, rng, metric=metric, **knobs
+        )
+        want = _reference_shared_ppc(trace, model, pop, stats, 100, ref_rng, metric=metric, **knobs)
+        assert len(got) == len(stats)
+        for stat, res, draws in zip(stats, got, want):
+            assert np.array_equal(res.draws, draws)
+            assert res.eta0 == float(statistic_values(stat, pop.to_matrix(), n_vertices).mean())
+        assert rng.random() == ref_rng.random()
+
+    @pytest.mark.parametrize("max_draws", [None, 5], ids=["every-draw", "subsampled"])
+    def test_chi2_rb_values(self, model, n_vertices, metric, knobs, max_draws):
+        trace, pop = _trace_and_pop(model, n_vertices, 3)
+        cfg = Chi2Config((0.0, 1 / 3, 2 / 3, 1.0))
+        rng, ref_rng = spawn_rng(4), spawn_rng(4)
+        kwargs = dict(metric=metric, n_sims=12, max_draws=max_draws, **knobs)
+        got = bayes_chi2_checks(trace, model, pop, THREE_STATS, cfg, rng, **kwargs)
+        want = _reference_shared_chi2(trace, model, pop, THREE_STATS, cfg, ref_rng, **kwargs)
+        assert len(got) == len(THREE_STATS)
+        for res, rb in zip(got, want):
+            assert np.array_equal(res.rb_values, rb)
+        assert rng.random() == ref_rng.random()
+
+
+def _reference_robustness(cfg):
+    """The study as a loop of one predictive check and one chi-squared per statistic in turn."""
+    knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
+    rows = []
+    for n in cfg.sample_sizes:
+        chi2_cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, min(5, n) + 1)))
+        results = []
+        for r in range(cfg.n_replicates):
+            rng = spawn_rng(derive_seed(cfg.seed, n, r))
+            truth, pop = experiments._misspecified_data(cfg, n, rng)
+            g0_vec = sample_matrix(CerParams(truth, cfg.data_alpha), 1, rng, cfg.mcmc)[0]
+            g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
+            trace = experiments._fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
+            out = {}
+            for stat in cfg.statistics:
+                ppc = posterior_predictive_check(
+                    trace, cfg.model, pop, stat, cfg.ppc_draws, rng, **knobs
+                )
+                chi2 = bayes_chi2(
+                    trace, cfg.model, pop, stat, chi2_cfg, rng,
+                    n_sims=cfg.chi2_sims, max_draws=cfg.chi2_max_draws, **knobs,
+                )
+                out[stat.name] = (
+                    ppc.tail_prob < cfg.nominal_level,
+                    chi2.exceedance_fraction > cfg.chi2_threshold,
+                )
+            results.append(out)
+        for stat in cfg.statistics:
+            rows.append(
+                {
+                    "model": cfg.model,
+                    "misspecification": cfg.misspecification,
+                    "n": n,
+                    "statistic": stat.name,
+                    "ppc_rejection_rate": float(np.mean([res[stat.name][0] for res in results])),
+                    "chi2_rejection_rate": float(np.mean([res[stat.name][1] for res in results])),
+                }
+            )
+    return rows
+
+
+@pytest.mark.parametrize("n_threads", [1, 2])
+def test_one_statistic_robustness_rows_equal_the_per_statistic_loop(n_threads):
+    cfg = StudyConfig(
+        generator=ErdosRenyi(0.3),
+        n_vertices=12,
+        sample_sizes=(3, 6),
+        n_replicates=3,
+        misspecification="dependence",
+        persist_p=0.9,
+        statistics=(DegreeQuantile(0.9),),
+        ppc_draws=100,
+        chi2_sims=20,
+        chi2_max_draws=8,
+        data_alpha=0.05,
+        seed=21,
+        mcmc=McmcConfig(n_samples=30, burn_in=100, lag=2),
+        n_threads=n_threads,
+    )
+    want = _reference_robustness(cfg)
+    assert robustness_study(cfg) == want
+    # Some replicate rejects, so the rows are not all-zero by construction.
+    assert any(row["chi2_rejection_rate"] > 0 for row in want)

@@ -104,3 +104,14 @@ def test_cer_prediction_study_loads_no_scipy_stats(tmp_path):
     )
     modules = _scipy_modules_after(["experiment", "--config", cfg, "--out", str(tmp_path / "o")])
     assert not [m for m in modules if m == "scipy.stats" or m.startswith("scipy.stats.")]
+
+
+def test_cer_robustness_study_loads_no_scipy(tmp_path):
+    """A robustness chi-squared has at most five bins, whose 0.95 quantiles are constants."""
+    cfg = _config(
+        tmp_path / "rob.cfg",
+        "study=robustness\nmodel=cer\nn_vertices=8\nsample_sizes=3,6\nn_replicates=1\n"
+        "n_samples=20\nburn_in=20\nlag=1\nppc_draws=100\nchi2_sims=10\nchi2_max_draws=3\n"
+        "threads=1\n",
+    )
+    assert _scipy_modules_after(["experiment", "--config", cfg, "--out", str(tmp_path / "o")]) == []
