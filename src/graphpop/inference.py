@@ -269,7 +269,7 @@ class _EmpiricalKernel:
     def mode_move(
         self, mode_vec: np.ndarray, flip_weight: float, tau: float, rng: np.random.Generator
     ) -> tuple[str, np.ndarray, float]:
-        """Mixture mode proposal shared by the fitters.
+        """Mixture mode proposal of ``fit_sn_sn``; ``fit_cer_cer`` makes the same draws inline.
 
         Draws from the flip kernel with probability ``flip_weight``, else from
         this empirical kernel; returns the kernel name, the candidate and the
@@ -680,6 +680,19 @@ def fit_cer_cer(pop: GraphPopulation, hyper: CerCerHyper, cfg: McmcConfig) -> Tr
     empirical-Bernoulli independence kernel (with full Hastings correction);
     alpha moves by the (0, 0.5)-reflected uniform walk. All normalizing
     constants are tractable, so the target is evaluated exactly.
+
+    The chain carries the mode's sufficient statistics, the prior distance
+    d0 = d(mode, g0) and the data distance dsum = sum_i d(G_i, mode), plus the
+    current log target. A flip proposal updates them from per-pair integer
+    gains in O(flipped pairs), and the log target is recomputed only for an
+    alpha candidate and after a mode move.
+
+    Invariant: every iteration draws, in this order, one uniform choosing the
+    kernel (flip with probability ``kernel_mix_weight``), N_e uniforms (the
+    flip mask or the empirical candidate), one uniform deciding the mode move,
+    the ``reflected_walk`` draws, and, when the alpha candidate lies in
+    (0, 0.5), one uniform deciding it. Changes that keep this order and the
+    float expressions of the log ratios keep traces bit-identical.
     """
     n_vertices = pop.n_vertices
     ne = n_pairs(n_vertices)
@@ -698,45 +711,93 @@ def fit_cer_cer(pop: GraphPopulation, hyper: CerCerHyper, cfg: McmcConfig) -> Tr
 
     lw_prior = log(hyper.alpha0) - log(1.0 - hyper.alpha0)
     const_prior = ne * log(1.0 - hyper.alpha0)
-
-    mode_vec = majority_vote(pop).to_vector()
-    d0 = int(np.count_nonzero(mode_vec != g0_vec))
-    dsum = int(np.count_nonzero(data != mode_vec))
-    alpha = 0.5 * hyper.beta_a / (hyper.beta_a + hyper.beta_b)
+    a, b = hyper.beta_a, hyper.beta_b
+    alpha_norm = lgamma(a + b) - lgamma(a) - lgamma(b) + log(2.0)
+    n_cells = n * ne
 
     def log_target(d0_, dsum_, alpha_):
+        # The alpha term is CerCerHyper.log_alpha_prior with its normaliser
+        # hoisted; alpha_ always lies in (0, 0.5) here.
+        log_prior = alpha_norm + (a - 1.0) * log(2.0 * alpha_) + (b - 1.0) * log(1.0 - 2.0 * alpha_)
         return (
             const_prior
             + d0_ * lw_prior
-            + hyper.log_alpha_prior(alpha_)
+            + log_prior
             + dsum_ * log(alpha_)
-            + (n * ne - dsum_) * log(1.0 - alpha_)
+            + (n_cells - dsum_) * log(1.0 - alpha_)
         )
 
+    # Row 0: change of d0, row 1: change of dsum, when a pair turns on.
+    gains = np.stack([1 - 2 * g0_vec.astype(np.int64), n - 2 * data.sum(axis=0, dtype=np.int64)])
+    empty_stats = np.array([int(g0_vec.sum()), int(data.sum(dtype=np.int64))])
+    mode = majority_vote(pop).to_vector()
+
+    def flip_gains():
+        # The same changes when each pair of the mode flips, as Python lists:
+        # a flip proposal touches about one pair, too few for numpy calls.
+        return (gains * (1 - 2 * mode.astype(np.int64))).tolist()
+
+    prior_gain, data_gain = flip_gains()
+    d0 = int(np.count_nonzero(mode != g0_vec))
+    dsum = int(np.count_nonzero(data != mode))
+    alpha = 0.5 * a / (a + b)
+    lw_lik = log(alpha) - log(1.0 - alpha)
+    current = log_target(d0, dsum, alpha)
+    log_q_mode = None
+    uniforms = np.empty(ne)
+    drawn = np.empty(ne, dtype=bool)
+
     def step():
-        nonlocal mode_vec, d0, dsum, alpha
+        nonlocal d0, dsum, alpha, lw_lik, current, log_q_mode, prior_gain, data_gain
         # Mode update.
-        key, cand, log_q_diff = empirical.mode_move(mode_vec, cfg.kernel_mix_weight, tau, rng)
-        d0_c = int(np.count_nonzero(cand != g0_vec))
-        dsum_c = int(np.count_nonzero(data != cand))
-        lw_lik = log(alpha) - log(1.0 - alpha)
-        log_ratio = (d0_c - d0) * lw_prior + (dsum_c - dsum) * lw_lik + log_q_diff
-        mode_ok = log(rng.random()) < log_ratio
+        if rng.random() < cfg.kernel_mix_weight:
+            key = "flip"
+            rng.random(out=uniforms)
+            flipped = np.less(uniforms, tau, out=drawn).nonzero()[0]
+            pairs = flipped.tolist()
+            dd0 = sum([prior_gain[e] for e in pairs])
+            ddsum = sum([data_gain[e] for e in pairs])
+            log_ratio = dd0 * lw_prior + ddsum * lw_lik
+            mode_ok = log(rng.random()) < log_ratio
+            if mode_ok:
+                mode[flipped] ^= 1
+                for e in pairs:
+                    prior_gain[e] = -prior_gain[e]
+                    data_gain[e] = -data_gain[e]
+                log_q_mode = None
+        else:
+            key = "empirical"
+            rng.random(out=uniforms)
+            cand = np.less(uniforms, empirical.freq, out=drawn).view(np.uint8)
+            d0_c, dsum_c = (empty_stats + gains @ cand).tolist()
+            if log_q_mode is None:
+                log_q_mode = empirical.log_q(mode)
+            log_q_cand = empirical.log_q(cand)
+            dd0, ddsum = d0_c - d0, dsum_c - dsum
+            log_ratio = dd0 * lw_prior + ddsum * lw_lik + (log_q_mode - log_q_cand)
+            mode_ok = log(rng.random()) < log_ratio
+            if mode_ok:
+                mode[:] = cand
+                prior_gain, data_gain = flip_gains()
+                log_q_mode = log_q_cand
         if mode_ok:
-            mode_vec, d0, dsum = cand, d0_c, dsum_c
+            d0 += dd0
+            dsum += ddsum
+            current = log_target(d0, dsum, alpha)
 
         # Alpha update (reflected walk is symmetric).
         alpha_c = reflected_walk(alpha, 0.0, 0.5, cfg.step_sizes_upsilon, rng)
         alpha_ok = False
         if 0.0 < alpha_c < 0.5:
-            log_ratio = log_target(d0, dsum, alpha_c) - log_target(d0, dsum, alpha)
-            alpha_ok = log(rng.random()) < log_ratio
+            target_c = log_target(d0, dsum, alpha_c)
+            alpha_ok = log(rng.random()) < target_c - current
             if alpha_ok:
-                alpha = alpha_c
+                alpha, current = alpha_c, target_c
+                lw_lik = log(alpha) - log(1.0 - alpha)
         return (key, mode_ok), ("alpha_walk", alpha_ok)
 
     def state():
-        return mode_vec, alpha, log_target(d0, dsum, alpha)
+        return mode, alpha, current
 
     return _run_chain(
         cfg, ("flip", "empirical", "alpha_walk"), step, state, "alpha", n_vertices

@@ -12,6 +12,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, fields
+from functools import lru_cache
 from typing import Any, Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -19,7 +20,7 @@ import numpy as np
 from . import __version__
 from .diagnostics import chi2_quantile
 from .errors import ConfigError, ParseError, SchemaError
-from .graphs import GraphPopulation, LabelledGraph
+from .graphs import GraphPopulation, LabelledGraph, pair_positions
 from .inference import McmcConfig, Trace
 from .metrics import DistanceMatrix
 
@@ -31,6 +32,25 @@ from .metrics import DistanceMatrix
 
 def _edges_1based(g: LabelledGraph) -> list[list[int]]:
     return [[i + 1, j + 1] for i, j in g.edges()]
+
+
+@lru_cache(maxsize=32)
+def _pair_texts(n_vertices: int) -> np.ndarray:
+    """The compact JSON text "[i,j]" (1-based) of every pair position; read-only, cached."""
+    ii, jj = pair_positions(n_vertices)
+    texts = np.array([f"[{i + 1},{j + 1}]" for i, j in zip(ii.tolist(), jj.tolist())], dtype=object)
+    texts.flags.writeable = False
+    return texts
+
+
+def _edges_json(g: LabelledGraph) -> str:
+    """``json.dumps(_edges_1based(g), separators=(",", ":"))``, from the pair table."""
+    on = g.to_vector().nonzero()[0]
+    return "[" + ",".join(_pair_texts(g.n_vertices)[on].tolist()) + "]"
+
+
+# json.dumps(value, separators=(",", ":")) without building an encoder per call.
+_json = json.JSONEncoder(separators=(",", ":")).encode
 
 
 def _ndjson_records(path: str) -> Iterator[tuple[int, dict]]:
@@ -103,11 +123,12 @@ def read_population(path: str) -> GraphPopulation:
 
 
 def write_population(pop: GraphPopulation, path: str) -> None:
+    """One compact JSON object per graph, written field by field: the bytes of
+    ``json.dumps({"id": .., "n": .., "edges": ..}, separators=(",", ":"))``."""
     with open(path, "w", encoding="utf-8") as fh:
         for k, g in enumerate(pop.graphs):
             gid = pop.ids[k] if pop.ids is not None else f"g{k + 1}"
-            rec = {"id": gid, "n": g.n_vertices, "edges": _edges_1based(g)}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            fh.write(f'{{"id":{_json(gid)},"n":{g.n_vertices},"edges":{_edges_json(g)}}}\n')
 
 
 def read_adjacency_csv(path: str) -> LabelledGraph:
@@ -159,16 +180,15 @@ def write_trace(trace: Trace, path: str) -> None:
     }
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
+        # Each sample line has the bytes of json.dumps({"iter", "edges",
+        # "param", "log_kernel"}, separators=(",", ":")).
         for it, (g, p, lk) in enumerate(
             zip(trace.graphs, trace.params, trace.log_kernels)
         ):
-            rec = {
-                "iter": it,
-                "edges": _edges_1based(g),
-                "param": float(p),
-                "log_kernel": float(lk),
-            }
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
+            fh.write(
+                f'{{"iter":{it},"edges":{_edges_json(g)},'
+                f'"param":{_json(float(p))},"log_kernel":{_json(float(lk))}}}\n'
+            )
 
 
 def read_trace(path: str) -> Trace:
