@@ -258,9 +258,10 @@ def randomized_pit(
 def rb_statistic(pit_values: np.ndarray, cfg: Chi2Config) -> float:
     """Binned discrepancy sum_k (C_k - n p_k)^2 / (n p_k) of PIT values."""
     edges = np.asarray(cfg.bin_edges)
-    # Keep values inside [0, 1) so the top bin is closed.
+    # Keep values inside [0, 1) so the top bin is closed. Bin k holds
+    # edges[k] <= u < edges[k+1], as in np.histogram, at a fraction of its cost.
     u = np.clip(pit_values, 0.0, np.nextafter(1.0, 0.0))
-    counts = np.histogram(u, bins=edges)[0]
+    counts = np.bincount(np.searchsorted(edges, u, "right") - 1, minlength=len(edges) - 1)
     n = len(pit_values)
     p_k = np.diff(edges)
     return float((((counts - n * p_k) ** 2) / (n * p_k)).sum())

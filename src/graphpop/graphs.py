@@ -121,6 +121,38 @@ class LabelledGraph:
         return cls(n_vertices, vector_to_bits(vec))
 
 
+# Bulk Bernoulli draws stream their uniforms through at most this many float64s
+# (2 MiB), however large the output.
+BERNOULLI_BUFFER = 1 << 18
+
+
+def bernoulli_bits(rng: np.random.Generator, p, shape) -> np.ndarray:
+    """``(rng.random(shape) < p).astype(np.uint8)`` without the float64 block.
+
+    ``p`` is a scalar or a vector of length ``shape[-1]``. The uniforms are
+    drawn in C order into one reused buffer of at most ``BERNOULLI_BUFFER``
+    doubles, so the result and the generator's state afterwards equal the
+    one-shot draw's bit for bit, and the peak is the uint8 output plus 2 MiB.
+    """
+    out = np.empty(shape, dtype=np.uint8)
+    p = np.asarray(p, dtype=np.float64)
+    if out.size == 0:
+        return out
+    # Rows of the grid share p: the whole output for a scalar, the last axis for a vector.
+    grid = out.reshape(-1, out.shape[-1] if p.ndim else out.size).view(np.bool_)
+    n_rows, width = grid.shape
+    cols = min(width, BERNOULLI_BUFFER)
+    rows = max(1, BERNOULLI_BUFFER // width)  # > 1 only when whole rows fit
+    buf = np.empty(min(n_rows, rows) * cols)
+    for r in range(0, n_rows, rows):
+        r_end = min(r + rows, n_rows)
+        for c in range(0, width, cols):
+            u = buf[: (r_end - r) * min(cols, width - c)].reshape(r_end - r, -1)
+            rng.random(out=u)
+            np.less(u, p[c : c + cols] if p.ndim else p, out=grid[r:r_end, c : c + cols])
+    return out
+
+
 def bits_to_vector(bits: int, length: int) -> np.ndarray:
     """Bit-set as a uint8 vector of length ``length``; entry p is bit p."""
     bits = int(bits)
@@ -304,13 +336,13 @@ def sample_generator(spec: GeneratorSpec, n_vertices: int, rng: np.random.Genera
     if n_vertices < 1:
         raise InvalidSpecError("n_vertices must be >= 1")
     if isinstance(spec, ErdosRenyi):
-        vec = (rng.random(n_pairs(n_vertices)) < spec.p).astype(np.uint8)
+        vec = bernoulli_bits(rng, spec.p, n_pairs(n_vertices))
         return LabelledGraph.from_vector(n_vertices, vec)
     if isinstance(spec, StochasticBlockModel):
         blocks = rng.choice(spec.n_blocks, size=n_vertices, p=spec.membership_probs)
         ii, jj = pair_positions(n_vertices)
         probs = np.where(blocks[ii] == blocks[jj], spec.within_p, spec.between_p)
-        vec = (rng.random(len(probs)) < probs).astype(np.uint8)
+        vec = bernoulli_bits(rng, probs, len(probs))
         return LabelledGraph.from_vector(n_vertices, vec)
     if isinstance(spec, SmallWorld):
         return _sample_small_world(spec, n_vertices, rng)

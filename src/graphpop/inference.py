@@ -38,6 +38,7 @@ from .errors import (
 from .graphs import (
     GraphPopulation,
     LabelledGraph,
+    bernoulli_bits,
     bits_to_vector,
     enumerate_graph_space,
     majority_vote,
@@ -539,13 +540,14 @@ def snf_mh_matrix(
     phi = engine.metric.apply_phi
     taylor = engine.metric.kind == "diffusion"
     # Bound the pregenerated proposal block to 4M mask entries: ~4 MB of uint8
-    # masks, drawn from ~32 MB of float64 uniforms.
+    # masks, whose uniforms stream through bernoulli_bits' 2 MiB buffer. The
+    # block length fixes the RNG order (masks, then log u, per block).
     block = max(1, min(steps, (1 << 22) // max(1, n_chains * engine.ne)))
     tally = [0, 1]  # accepted, decided: this call's running acceptance, from 0
     done = 0
     while done < steps:
         m = min(block, steps - done)
-        masks = (rng.random((m, n_chains, engine.ne)) < tau).astype(np.uint8)
+        masks = bernoulli_bits(rng, tau, (m, n_chains, engine.ne))
         logu = np.log(rng.random((m, n_chains)))
         # A chain whose mask is empty proposes its own state, which log u < 0
         # always accepts unchanged, so only chains that flip something run.

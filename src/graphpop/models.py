@@ -23,7 +23,7 @@ from .errors import (
     SizeMismatchError,
     SpaceTooLargeError,
 )
-from .graphs import GraphPopulation, LabelledGraph, enumerate_graph_space, n_pairs
+from .graphs import GraphPopulation, LabelledGraph, bernoulli_bits, enumerate_graph_space, n_pairs
 from .metrics import MetricSpec, hamming, heat_kernels
 
 
@@ -65,10 +65,16 @@ def cer_sample(params: CerParams, rng: np.random.Generator) -> LabelledGraph:
 
 
 def cer_sample_matrix(params: CerParams, count: int, rng: np.random.Generator) -> np.ndarray:
-    """``count`` draws stacked as a (count, n_pairs) uint8 edge-indicator matrix."""
+    """``count`` draws stacked as a (count, n_pairs) uint8 edge-indicator matrix.
+
+    The flip bits stream through ``bernoulli_bits``'s fixed buffer and the mode
+    is XORed into them in place, so peak memory is the output plus 2 MiB,
+    whatever ``count``.
+    """
     vec = params.mode.to_vector()
-    flips = (rng.random((count, vec.shape[0])) < params.alpha).astype(np.uint8)
-    return vec[None, :] ^ flips
+    out = bernoulli_bits(rng, params.alpha, (count, vec.shape[0]))
+    out ^= vec
+    return out
 
 
 def cer_entropy(alpha: float, n_vertices: int) -> float:

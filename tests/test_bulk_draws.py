@@ -1,0 +1,109 @@
+"""Bulk Bernoulli draws through a fixed buffer: the same stream, bounded memory.
+
+``graphs.bernoulli_bits`` must give the bits and leave the generator state of
+the one-shot ``(rng.random(shape) < p).astype(np.uint8)`` at any buffer size.
+Its two bulk callers, ``models.cer_sample_matrix`` and
+``inference.snf_mh_matrix``, must then peak at their output plus a few MiB,
+whatever the draw count. ``tracemalloc`` sees numpy's array allocations.
+"""
+
+import tracemalloc
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from conftest import random_graph
+from graphpop import graphs
+from graphpop.graphs import bernoulli_bits, n_pairs
+from graphpop.inference import _MetricEngine, snf_mh_matrix
+from graphpop.metrics import MetricSpec
+from graphpop.models import CerParams, cer_sample_matrix
+
+MIB = 1 << 20
+
+
+def one_shot(rng, p, shape):
+    return (rng.random(shape) < p).astype(np.uint8)
+
+
+def assert_same_draw(p, shape, seed):
+    rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+    got, want = bernoulli_bits(rng, p, shape), one_shot(ref, p, shape)
+    assert got.dtype == np.uint8 and got.flags.c_contiguous
+    assert got.shape == want.shape
+    np.testing.assert_array_equal(got, want)
+    assert rng.bit_generator.state == ref.bit_generator.state
+    # The streams stay in step after the call.
+    assert rng.random() == ref.random()
+
+
+shapes = st.lists(st.integers(0, 6), min_size=1, max_size=3).map(tuple)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    shape=shapes,
+    per_column=st.booleans(),
+    p_seed=st.integers(0, 2**32 - 1),
+    scalar_p=st.sampled_from([0.0, 1e-3, 0.3, 0.5, 1.0]),
+    buffer=st.sampled_from([1, 7, None]),
+    seed=st.integers(0, 2**32 - 1),
+)
+def test_equals_the_one_shot_draw(shape, per_column, p_seed, scalar_p, buffer, seed):
+    if per_column:
+        p = np.random.default_rng(p_seed).random(shape[-1])
+        p[::3] = scalar_p  # exact 0 and 1 columns too
+    else:
+        p = scalar_p
+    with pytest.MonkeyPatch.context() as mp:
+        if buffer is not None:
+            mp.setattr(graphs, "BERNOULLI_BUFFER", buffer)
+        assert_same_draw(p, shape, seed)
+
+
+@pytest.mark.parametrize("buffer", [1, 7, 100])
+@pytest.mark.parametrize("shape", [(0,), (0, 5), (5, 0), (3, 0, 4), (2, 3, 0)])
+def test_zero_length_axes_draw_nothing(shape, buffer, monkeypatch):
+    monkeypatch.setattr(graphs, "BERNOULLI_BUFFER", buffer)
+    assert_same_draw(0.4, shape, 11)
+    assert_same_draw(np.linspace(0, 1, shape[-1]), shape, 11)
+
+
+@pytest.mark.parametrize(
+    "shape", [(3, 100_000), (2, 300_000), (7, 3, 1225), (600_001,)], ids=str
+)
+def test_default_buffer_across_chunk_boundaries(shape):
+    # Rows of a vector p that are wider than the buffer are split into column chunks.
+    assert_same_draw(0.1, shape, 5)
+    assert_same_draw(np.random.default_rng(2).random(shape[-1]), shape, 5)
+
+
+def traced_peak(fn):
+    """``fn()`` and the peak bytes tracemalloc saw allocated while it ran."""
+    tracemalloc.start()
+    try:
+        result = fn()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_cer_sample_matrix_peaks_at_its_output_plus_the_buffer():
+    rng = np.random.default_rng(3)
+    params = CerParams(random_graph(50, rng, p=0.1), 0.1)
+    out, peak = traced_peak(lambda: cer_sample_matrix(params, 20_000, rng))
+    assert out.shape == (20_000, n_pairs(50))
+    assert peak <= out.nbytes + 4 * MIB
+
+
+def test_snf_inner_chains_peak_below_16_mib_under_hamming():
+    rng = np.random.default_rng(4)
+    engine = _MetricEngine(MetricSpec(kind="hamming"), 50)
+    mode = random_graph(50, rng, p=0.1).to_vector()
+    (states, d), peak = traced_peak(
+        lambda: snf_mh_matrix(mode, 4.6, engine, 10, 1000, 1.0 / engine.ne, rng)
+    )
+    assert states.shape == (10, engine.ne) and d.shape == (10,)
+    assert peak <= 16 * MIB

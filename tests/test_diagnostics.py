@@ -406,3 +406,39 @@ class TestSharedDegreeSort:
         degrees = _degrees64(mat, n)
         for q, got in zip(levels, rows):
             assert np.array_equal(got, np.quantile(degrees, float(q), axis=1)), q
+
+
+class TestRbBinCounts:
+    """``rb_statistic`` bins by ``searchsorted``; its counts must be ``np.histogram``'s."""
+
+    @staticmethod
+    def histogram_rb(u, cfg):
+        edges = np.asarray(cfg.bin_edges)
+        counts = np.histogram(np.clip(u, 0.0, np.nextafter(1.0, 0.0)), bins=edges)[0]
+        n, p_k = len(u), np.diff(edges)
+        return float((((counts - n * p_k) ** 2) / (n * p_k)).sum())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        inner=st.lists(st.floats(1e-9, 1.0 - 1e-9), min_size=1, max_size=8),
+        n=st.integers(1, 60),
+        on_edges=st.integers(0, 60),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    def test_equals_histogram_counts(self, inner, n, on_edges, seed):
+        cfg = Chi2Config((0.0, *sorted(set(inner)), 1.0))
+        rng = np.random.default_rng(seed)
+        # Random PITs, values exactly on the edges (0 and 1 included) and their neighbours.
+        edges = np.asarray(cfg.bin_edges)
+        hits = rng.choice(edges, on_edges)
+        near = np.nextafter(hits, rng.choice([-1.0, 2.0], on_edges))
+        u = rng.permutation(np.concatenate([rng.random(n), hits, near]))
+        assert rb_statistic(u, cfg) == self.histogram_rb(u, cfg)
+
+    @pytest.mark.parametrize(
+        "edges", [(0.0, 0.2, 0.4, 0.6, 0.8, 1.0), (0.0, 0.5, 1.0), (0.0, 1e-3, 0.3, 0.31, 0.9, 1.0)]
+    )
+    def test_counts_on_fixed_configs(self, edges):
+        cfg = Chi2Config(edges)
+        u = np.concatenate([spawn_rng(12).random(300), edges, edges, [0.25, 0.999999]])
+        assert rb_statistic(u, cfg) == self.histogram_rb(u, cfg)
