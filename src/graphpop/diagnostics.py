@@ -1,12 +1,12 @@
 """Model-fit diagnostics: posterior predictive checks and the Bayesian chi-squared.
 
 Both diagnostics reduce a network to a univariate summary (degree quantiles by
-default). Replicate populations are simulated per posterior draw: directly for
-the CER family, and through inner Metropolis chains for the SNF. Checked
-together, several statistics share each draw's population. The model CDF
-needed by the chi-squared has no closed form for either family, so it is
-estimated by Monte Carlo; a randomized probability integral transform repairs
-the discreteness of the statistic before binning.
+default). Replicate populations are simulated per posterior draw: exactly for
+the CER family and for the SNF at N <= 5, and through inner Metropolis chains
+for the SNF above that. Checked together, several statistics share each draw's
+population. The model CDF needed by the chi-squared has no closed form for
+either family, so it is estimated by Monte Carlo; a randomized probability
+integral transform repairs the discreteness of the statistic before binning.
 """
 
 from __future__ import annotations

@@ -330,7 +330,7 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
         return float(binomial_quantile(1.0 - cfg.delta, ne, cfg.data_alpha))
     steps, tau = cfg.mcmc.resolved_aux_steps(ne), cfg.mcmc.resolved_tau(ne)
     engine = _MetricEngine(cfg.metric, cfg.n_vertices)
-    # The chains return each draw's distance to the truth (their mode).
+    # Each draw comes with its distance to the truth (the SNF's mode).
     _, dists = snf_mh_matrix(
         truth.to_vector(), cfg.resolved_gamma, engine, 2000, steps, tau, rng
     )

@@ -5,9 +5,11 @@ normalizing constants are tractable. ``fit_sn_sn`` handles the SN/SN model,
 whose likelihood contains the mode- and gamma-dependent partition function, via
 the auxiliary-variable exchange construction: each proposal of (mode, gamma)
 is accompanied by synthetic graphs drawn from the model at the proposed values,
-so the intractable normalizers cancel from the acceptance ratio. The auxiliary
-draws come from a finite inner Metropolis chain, making the sampler approximate;
-enumeration-based exact posteriors are provided to bound that bias at small N.
+so the intractable normalizers cancel from the acceptance ratio. At N <= 5 the
+auxiliary draws are exact (one inverse-CDF lookup over the enumerated space),
+so the exchange sampler is exact there and the enumeration-based exact
+posteriors check it. Above N = 5 they come from a finite inner Metropolis
+chain, which makes the sampler approximate.
 
 All randomness flows through ``numpy.random.Generator`` seeded from the config;
 parallel replicates should derive substreams with ``spawn_rng``.
@@ -39,7 +41,6 @@ from .graphs import (
     GraphPopulation,
     LabelledGraph,
     bernoulli_bits,
-    bits_to_vector,
     enumerate_graph_space,
     majority_vote,
     n_pairs,
@@ -151,6 +152,8 @@ class McmcConfig:
     ``flip_prob_tau`` and ``aux_inner_steps`` of ``None`` resolve at fit time to
     1/N_e (one expected flip per proposal) and 20*N_e inner steps respectively;
     the default tau raises ``DomainError`` when N_e = 0 (a single vertex).
+    At N <= 5 SNF draws are exact, so ``aux_inner_steps`` does not act there and
+    ``flip_prob_tau`` acts only on the mode-flip proposals.
     ``kernel_mix_weight`` is the probability of the independent-flip kernel; the
     complementary move is the empirical-Bernoulli independence kernel.
     """
@@ -322,8 +325,10 @@ def reflected_walk(
 class _MetricEngine:
     """Raw-distance computations between uint8 edge matrices and a mode vector.
 
-    For N <= 5 the full pairwise table over the enumerated space is used, which
-    makes diffusion distances a table lookup inside the samplers. Above that,
+    For N <= 5 the engine holds the full pairwise table over the enumerated
+    space and the space itself as a (2^N_e, N_e) uint8 matrix whose row b is
+    ``bits_to_vector(b, N_e)``. Distances are then table lookups, and
+    ``snf_mh_matrix`` draws exactly from the SNF by one lookup. Above that,
     the last mode's heat kernel is memoised, and kernels are built in chunks of
     rows so that no (rows, N, N) array exceeds 256 KiB: a Taylor batch keeps
     about ten such arrays live. With 1 MiB arrays (52 rows at N = 50), the
@@ -339,6 +344,8 @@ class _MetricEngine:
         if self.small:
             self.table = _space_distance_table(n_vertices, metric.kind, metric.t)
             self.pow2 = 1 << np.arange(self.ne, dtype=np.uint64)
+            bits = np.arange(1 << self.ne)[:, None] >> np.arange(self.ne)
+            self.states = (bits & 1).astype(np.uint8)
         self.chunk = max(1, (1 << 15) // max(1, n_vertices * n_vertices))
         self._mode_key: Optional[bytes] = None
         self._mode_kernel: Optional[np.ndarray] = None
@@ -497,12 +504,18 @@ def snf_mh_matrix(
     rng: np.random.Generator,
     start: Optional[np.ndarray] = None,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Run ``n_chains`` independent flip-kernel Metropolis chains targeting the SNF.
+    """``n_chains`` draws from the SNF at (mode, gamma): uint8 rows plus raw distances.
 
-    Chains start at the mode unless ``start`` rows are given; returns the final
-    states as a uint8 matrix plus their raw distances to the mode.
+    At N <= 5 the draws are exact: the SNF is a categorical law over the
+    enumerated space, so the mode's row of ``engine.table`` gives its weights
+    exp(-gamma phi(d)) and one inverse-CDF lookup per draw picks a graph.
+    ``steps``, ``tau`` and ``start`` do not act there.
 
-    Above N = 5 the masks and log u of a block of steps are drawn at once, and
+    Above N = 5 each draw is the final state of an independent flip-kernel
+    Metropolis chain of ``steps`` steps with flip probability ``tau``, started
+    at the mode unless ``start`` rows are given.
+
+    The masks and log u of a block of steps are drawn at once, and
     a chain whose mask is empty skips that step. Each chain then runs through
     its own non-empty proposals, and one distance batch scores up to w of
     every chain's next proposals along its accept path: candidate j is the
@@ -530,7 +543,12 @@ def snf_mh_matrix(
     chunk, and the kernels are most of the cost).
     """
     if engine.small:
-        return _snf_mh_small(mode_vec, gamma, engine, n_chains, steps, tau, rng, start)
+        dvec = engine.table[vector_to_bits(mode_vec)]
+        logw = -gamma * engine.metric.apply_phi(dvec)
+        cdf = np.exp(logw - logw.max()).cumsum()
+        cdf /= cdf[-1]
+        pick = np.searchsorted(cdf, rng.random(n_chains), side="right")
+        return engine.states[pick], dvec[pick]
     if start is None:
         states = np.tile(mode_vec, (n_chains, 1))
         d = np.zeros(n_chains)
@@ -571,37 +589,6 @@ def snf_mh_matrix(
     return states, d
 
 
-def _snf_mh_small(mode_vec, gamma, engine, n_chains, steps, tau, rng, start):
-    """Enumerable-space path: states are table indices, the step loop is scalar."""
-    mode_bits = vector_to_bits(mode_vec)
-    dvec = engine.table[mode_bits]
-    evec = [float(e) for e in engine.metric.apply_phi(dvec)]
-    total = steps * n_chains
-    mask_ints = (rng.random((total, engine.ne)) < tau).astype(np.uint64) @ engine.pow2
-    mask_ints = [int(m) for m in mask_ints]
-    logu = np.log(rng.random(total))
-    if start is None:
-        start_bits = [mode_bits] * n_chains
-    else:
-        start_bits = [int(b) for b in engine.row_bits(start)]
-    out_bits = np.empty(n_chains, dtype=np.int64)
-    k = 0
-    for c in range(n_chains):
-        s = start_bits[c]
-        es = evec[s]
-        for _ in range(steps):
-            m = mask_ints[k]
-            if m:
-                cand = s ^ m
-                ec = evec[cand]
-                if logu[k] < -gamma * (ec - es):
-                    s, es = cand, ec
-            k += 1
-        out_bits[c] = s
-    states = np.stack([bits_to_vector(int(b), engine.ne) for b in out_bits])
-    return states, dvec[out_bits]
-
-
 def sample_matrix(
     params: Union[CerParams, SnfParams],
     count: int,
@@ -610,10 +597,10 @@ def sample_matrix(
 ) -> np.ndarray:
     """``count`` draws from a CER or SNF model as a (count, n_pairs) uint8 matrix.
 
-    CER draws are exact. Each SNF draw is the endpoint of an independent
-    flip-kernel Metropolis chain started at the mode, run with ``mcmc``'s inner
-    step count and flip probability (resolved only here, so a CER draw never
-    needs them).
+    CER draws are exact, and so are SNF draws at N <= 5. Above that each SNF
+    draw is the endpoint of an independent flip-kernel Metropolis chain started
+    at the mode, run with ``mcmc``'s inner step count and flip probability
+    (resolved only for SNF draws, so a CER draw never needs them).
     """
     if isinstance(params, CerParams):
         return cer_sample_matrix(params, count, rng)
@@ -914,14 +901,14 @@ def fit_sn_sn(
 
     Each iteration proposes (mode', gamma') with the CER/CER kernels (the gamma
     walk reflecting at 0 only), draws n auxiliary graphs from the model at the
-    proposed values via inner Metropolis chains started at the proposed mode,
-    and accepts with the five-factor ratio: CER auxiliary-density ratio with
-    plug-in dispersion alpha_tilde (new auxiliaries scored at the proposed mode
-    in the numerator, current auxiliaries at the current mode in the
-    denominator), prior ratio for (mode, gamma), data-kernel ratio, the inverse
-    ratio of the SNF kernels at the auxiliaries, and the proposal ratio. The
-    partition functions cancel exactly; the finite inner chains are the only
-    approximation.
+    proposed values (``snf_mh_matrix``: exact at N <= 5, inner Metropolis
+    chains started at the proposed mode above), and accepts with the
+    five-factor ratio: CER auxiliary-density ratio with plug-in dispersion
+    alpha_tilde (new auxiliaries scored at the proposed mode in the numerator,
+    current auxiliaries at the current mode in the denominator), prior ratio
+    for (mode, gamma), data-kernel ratio, the inverse ratio of the SNF kernels
+    at the auxiliaries, and the proposal ratio. The partition functions cancel
+    exactly; above N = 5 the finite inner chains are the only approximation.
     """
     if not 0.0 < alpha_tilde < 0.5:
         raise DomainError(f"alpha_tilde={alpha_tilde} outside (0, 0.5)")

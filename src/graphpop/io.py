@@ -279,27 +279,6 @@ def write_mds_coords(ids, coords: np.ndarray, path: str) -> None:
             fh.write(str(gid) + "," + ",".join(format(v, ".17g") for v in row) + "\n")
 
 
-def write_exact_distribution(dist, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for g, lp in zip(dist.space, dist.log_probs):
-            rec = {"edges": _edges_1based(g), "log_prob": float(lp)}
-            fh.write(json.dumps(rec, separators=(",", ":")) + "\n")
-
-
-def write_gamma_profile_csv(rows, path: str) -> None:
-    """Box-plot data: one line per profiled gamma value."""
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("gamma,q1,median,q3,whisker_low,whisker_high,mean\n")
-        for r in rows:
-            fh.write(
-                ",".join(
-                    format(v, ".17g")
-                    for v in (r.gamma, r.q1, r.median, r.q3, r.whisker_low, r.whisker_high, r.mean)
-                )
-                + "\n"
-            )
-
-
 def write_qq_csv(rb_values: np.ndarray, df: int, path: str) -> None:
     """Quantile pairs of the binned discrepancy statistic against chi-squared(df)."""
     rb = np.sort(np.asarray(rb_values))

@@ -1,5 +1,4 @@
 import json
-import math
 
 import numpy as np
 import pytest
@@ -131,28 +130,6 @@ class TestMatrixOutputs:
 
 
 class TestAuxiliaryExports:
-    def test_exact_distribution_ndjson(self, tmp_path):
-        from graphpop.models import CerParams, cer_exact
-
-        dist = cer_exact(CerParams(LabelledGraph.from_edges(3, [(0, 1)]), 0.2))
-        path = tmp_path / "dist.ndjson"
-        gio.write_exact_distribution(dist, str(path))
-        lines = [json.loads(ln) for ln in path.read_text().splitlines()]
-        assert len(lines) == 8
-        total = sum(math.exp(rec["log_prob"]) for rec in lines)
-        assert abs(total - 1.0) < 1e-10
-        assert lines[1]["edges"] == [[1, 2]]
-
-    def test_gamma_profile_csv(self, tmp_path):
-        from graphpop.diagnostics import GammaProfileRow
-
-        rows = [GammaProfileRow(0.5, 1.0, 2.0, 3.0, 0.0, 4.0, 2.1)]
-        path = tmp_path / "profile.csv"
-        gio.write_gamma_profile_csv(rows, str(path))
-        lines = path.read_text().splitlines()
-        assert lines[0] == "gamma,q1,median,q3,whisker_low,whisker_high,mean"
-        assert lines[1].startswith("0.5,1,2,3,0,4,")
-
     def test_qq_csv(self, tmp_path):
         rng = spawn_rng(3)
         rb = rng.chisquare(4, size=50)
