@@ -123,10 +123,17 @@ def predictive_draws(
 
     For each index in order, yields ``size`` draws from ``params_of(mode,
     scalar)`` at that sample. Draws are made lazily, so a consumer may use
-    ``rng`` between two of them without changing either stream.
+    ``rng`` between two of them without changing either stream. SNF draws
+    share one ``_MetricEngine``, built at the first of them: ``params_of``
+    keeps the metric and the vertex count, and building an engine per draw
+    cost more than an exact draw at N <= 5.
     """
+    engine = None
     for i in idx:
-        yield sample_matrix(params_of(trace.graphs[i], float(trace.params[i])), size, rng, mcmc)
+        params = params_of(trace.graphs[i], float(trace.params[i]))
+        if engine is None and isinstance(params, SnfParams):
+            engine = _MetricEngine(params.metric, params.mode.n_vertices)
+        yield sample_matrix(params, size, rng, mcmc, engine)
 
 
 def _replicates(trace, idx, model, metric, inner_steps, tau, size, rng) -> Iterator[np.ndarray]:

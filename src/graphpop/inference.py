@@ -18,8 +18,9 @@ parallel replicates should derive substreams with ``spawn_rng``.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from itertools import repeat
 from math import exp, inf, lgamma, log
-from typing import Callable, Optional, Union
+from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
@@ -309,12 +310,41 @@ def reflected_walk(
     elif x <= lower:
         raise DomainError(f"x={x} not strictly above {lower}")
     u = upsilons[rng.integers(len(upsilons))]
-    y = x + rng.uniform(-u, u)
+    return _reflect(x + rng.uniform(-u, u), lower, upper)
+
+
+def _reflect(y: float, lower: float, upper: Optional[float]) -> float:
+    """``reflected_walk``'s single reflection of a proposal y at the boundaries."""
     if y < lower:
-        y = 2.0 * lower - y
-    elif upper is not None and y > upper:
-        y = 2.0 * upper - y
+        return 2.0 * lower - y
+    if upper is not None and y > upper:
+        return 2.0 * upper - y
     return y
+
+
+def _bounded_indices(bit_generator: np.random.BitGenerator, k: int) -> Iterator[int]:
+    """Endless stream of the values ``Generator.integers(k)`` returns, for 1 <= k <= 2^32.
+
+    numpy draws an index below such a k from 32-bit halves of the bit
+    generator's 64-bit words: a word's low half first, its high half at the
+    next draw, each scaled by Lemire's multiply-shift and redrawn while the
+    low 32 bits of the product fall below 2^32 mod k. For k = 1 it draws
+    nothing. This stream reads the same words through ``random_raw`` and
+    keeps the spare half itself, where numpy keeps it in the bit generator.
+    So it matches ``integers(k)`` interleaved with any draws of 64-bit values
+    (doubles, raw words), and it is valid only while nothing else draws 32-bit
+    values from that generator.
+    """
+    if k == 1:
+        yield from repeat(0)
+    random_raw = bit_generator.random_raw
+    threshold = (1 << 32) % k
+    while True:
+        word = random_raw()
+        for half in (word & 0xFFFFFFFF, word >> 32):
+            m = half * k
+            if m & 0xFFFFFFFF >= threshold:
+                yield m >> 32
 
 
 # ---------------------------------------------------------------------------
@@ -594,19 +624,23 @@ def sample_matrix(
     count: int,
     rng: np.random.Generator,
     mcmc: McmcConfig,
+    engine: Optional[_MetricEngine] = None,
 ) -> np.ndarray:
     """``count`` draws from a CER or SNF model as a (count, n_pairs) uint8 matrix.
 
     CER draws are exact, and so are SNF draws at N <= 5. Above that each SNF
     draw is the endpoint of an independent flip-kernel Metropolis chain started
     at the mode, run with ``mcmc``'s inner step count and flip probability
-    (resolved only for SNF draws, so a CER draw never needs them).
+    (resolved only for SNF draws, so a CER draw never needs them). An SNF draw
+    uses ``engine`` (built for the model's metric and vertex count) if given,
+    so that a caller drawing many times builds one; else it builds its own.
     """
     if isinstance(params, CerParams):
         return cer_sample_matrix(params, count, rng)
     ne = params.mode.n_pairs
     steps, tau = mcmc.resolved_aux_steps(ne), mcmc.resolved_tau(ne)
-    engine = _MetricEngine(params.metric, params.mode.n_vertices)
+    if engine is None:
+        engine = _MetricEngine(params.metric, params.mode.n_vertices)
     states, _ = snf_mh_matrix(params.mode.to_vector(), params.gamma, engine, count, steps, tau, rng)
     return states
 
@@ -624,28 +658,51 @@ def _run_chain(
     param_name: str,
     n_vertices: int,
 ) -> Trace:
-    """Burn-in, lag and keep loop around a sampler's transition.
+    """``_drive_chain`` over a sampler that makes one iteration per call.
 
     ``step()`` makes one iteration and returns a (kernel, accepted) pair per
     proposal; ``state()`` returns the (mode vector, scalar, log kernel) to
     record at a kept iteration. Every name in ``kernels`` is counted, even if
-    it never proposes. The driver itself draws no random numbers.
+    it never proposes.
     """
     accepts = {k: [0, 0] for k in kernels}
+
+    def advance(k):
+        for _ in range(k):
+            for key, accepted in step():
+                tally = accepts[key]
+                tally[1] += 1
+                if accepted:
+                    tally[0] += 1
+        return state()
+
+    return _drive_chain(cfg, accepts, advance, param_name, n_vertices)
+
+
+def _drive_chain(
+    cfg: McmcConfig,
+    accepts: dict[str, list[int]],
+    advance: Callable[[int], tuple[np.ndarray, float, float]],
+    param_name: str,
+    n_vertices: int,
+) -> Trace:
+    """Burn-in, lag and keep loop over a sampler that advances in blocks.
+
+    ``advance(k)`` makes k iterations (k may be 0), adds their [accepted,
+    proposed] counts per kernel into ``accepts``, and returns the (mode
+    vector, scalar, log kernel) after them: the burn-in is one block, then
+    each kept sample ends a block of ``cfg.lag`` iterations. The driver itself
+    draws no random numbers.
+    """
     kept_graphs: list[LabelledGraph] = []
     kept_params: list[float] = []
     kept_logk: list[float] = []
-    total = cfg.burn_in + cfg.n_samples * cfg.lag
-    for it in range(total):
-        for key, accepted in step():
-            accepts[key][1] += 1
-            if accepted:
-                accepts[key][0] += 1
-        if it >= cfg.burn_in and (it - cfg.burn_in) % cfg.lag == cfg.lag - 1:
-            mode_vec, param, logk = state()
-            kept_graphs.append(LabelledGraph.from_vector(n_vertices, mode_vec))
-            kept_params.append(param)
-            kept_logk.append(logk)
+    advance(cfg.burn_in)
+    for _ in range(cfg.n_samples):
+        mode_vec, param, logk = advance(cfg.lag)
+        kept_graphs.append(LabelledGraph.from_vector(n_vertices, mode_vec))
+        kept_params.append(param)
+        kept_logk.append(logk)
     return Trace(
         graphs=kept_graphs,
         params=np.array(kept_params),
@@ -674,25 +731,44 @@ def fit_cer_cer(pop: GraphPopulation, hyper: CerCerHyper, cfg: McmcConfig) -> Tr
     d0 = d(mode, g0) and the data distance dsum = sum_i d(G_i, mode), plus the
     current log target. A flip proposal updates them from per-pair integer
     gains in O(flipped pairs), and the log target is recomputed only for an
-    alpha candidate and after a mode move.
+    alpha candidate and after a mode move. The iterations run in one loop
+    (``_cer_cer_chain``) whose state lives in local variables, one block of
+    iterations per burn-in or kept sample.
 
-    Invariant: every iteration draws, in this order, one uniform choosing the
-    kernel (flip with probability ``kernel_mix_weight``), N_e uniforms (the
-    flip mask or the empirical candidate), one uniform deciding the mode move,
-    the ``reflected_walk`` draws, and, when the alpha candidate lies in
-    (0, 0.5), one uniform deciding it. Changes that keep this order and the
-    float expressions of the log ratios keep traces bit-identical.
+    Invariant: every iteration draws, in this order, one ``rng.random(out=)``
+    of N_e + 2 doubles (the uniform choosing the kernel, flip with probability
+    ``kernel_mix_weight``; the N_e flip-mask or empirical-candidate uniforms;
+    the uniform deciding the mode move), the step-size index that
+    ``rng.integers(len(step_sizes_upsilon))`` would return (``_bounded_indices``:
+    32-bit halves of raw words, none when there is one step size), one double
+    v giving the alpha noise -u + (u - -u) * v that ``rng.uniform(-u, u)``
+    computes, and, when the alpha candidate lies in (0, 0.5), one uniform
+    deciding it. These are the draws and the order of separate ``random()``,
+    ``random(N_e)``, ``random()`` and ``reflected_walk`` calls, so changes
+    that keep this order and the float expressions of the log ratios keep
+    traces bit-identical to that step-by-step chain.
     """
     n_vertices = pop.n_vertices
-    ne = n_pairs(n_vertices)
     if hyper.g0.n_vertices != n_vertices:
         raise DomainError("prior mode lives on a different vertex set than the data")
     for u in cfg.step_sizes_upsilon:
         if u >= 0.5:
             raise StepTooLargeError(u, 0.5)
-    tau = cfg.resolved_tau(ne)
-    rng = spawn_rng(cfg.seed)
+    tau = cfg.resolved_tau(n_pairs(n_vertices))
+    accepts = {"flip": [0, 0], "empirical": [0, 0], "alpha_walk": [0, 0]}
+    chain = _cer_cer_chain(pop, hyper, cfg, tau, spawn_rng(cfg.seed), accepts)
+    next(chain)
+    return _drive_chain(cfg, accepts, chain.send, "alpha", n_vertices)
 
+
+def _cer_cer_chain(pop, hyper, cfg, tau, rng, accepts):
+    """``fit_cer_cer``'s chain as a generator: ``send(k)`` makes k iterations.
+
+    Each send returns (mode vector, alpha, log target) after its iterations
+    and adds their counts into ``accepts``. The mode vector is the chain's own
+    array, valid until the next send.
+    """
+    ne = n_pairs(pop.n_vertices)
     data = pop.to_matrix()
     n = data.shape[0]
     g0_vec = hyper.g0.to_vector()
@@ -733,64 +809,78 @@ def fit_cer_cer(pop: GraphPopulation, hyper: CerCerHyper, cfg: McmcConfig) -> Tr
     lw_lik = log(alpha) - log(1.0 - alpha)
     current = log_target(d0, dsum, alpha)
     log_q_mode = None
-    uniforms = np.empty(ne)
+
+    random = rng.random
+    buf = np.empty(ne + 2)  # kernel choice, N_e mask or candidate uniforms, mode decision
+    uniforms = buf[1 : ne + 1]
     drawn = np.empty(ne, dtype=bool)
+    mix, last = cfg.kernel_mix_weight, ne + 1
+    # (low, high - low) of each step size's Unif(-u, u), as rng.uniform forms them.
+    walks = [(-u, u - -u) for u in cfg.step_sizes_upsilon]
+    walk_index = _bounded_indices(rng.bit_generator, len(walks))
+    flip_tally, empirical_tally = accepts["flip"], accepts["empirical"]
+    alpha_tally = accepts["alpha_walk"]
 
-    def step():
-        nonlocal d0, dsum, alpha, lw_lik, current, log_q_mode, prior_gain, data_gain
-        # Mode update.
-        if rng.random() < cfg.kernel_mix_weight:
-            key = "flip"
-            rng.random(out=uniforms)
-            flipped = np.less(uniforms, tau, out=drawn).nonzero()[0]
-            pairs = flipped.tolist()
-            dd0 = sum([prior_gain[e] for e in pairs])
-            ddsum = sum([data_gain[e] for e in pairs])
-            log_ratio = dd0 * lw_prior + ddsum * lw_lik
-            mode_ok = log(rng.random()) < log_ratio
-            if mode_ok:
-                mode[flipped] ^= 1
-                for e in pairs:
-                    prior_gain[e] = -prior_gain[e]
-                    data_gain[e] = -data_gain[e]
-                log_q_mode = None
-        else:
-            key = "empirical"
-            rng.random(out=uniforms)
-            cand = np.less(uniforms, empirical.freq, out=drawn).view(np.uint8)
-            d0_c, dsum_c = (empty_stats + gains @ cand).tolist()
-            if log_q_mode is None:
-                log_q_mode = empirical.log_q(mode)
-            log_q_cand = empirical.log_q(cand)
-            dd0, ddsum = d0_c - d0, dsum_c - dsum
-            log_ratio = dd0 * lw_prior + ddsum * lw_lik + (log_q_mode - log_q_cand)
-            mode_ok = log(rng.random()) < log_ratio
-            if mode_ok:
-                mode[:] = cand
-                prior_gain, data_gain = flip_gains()
-                log_q_mode = log_q_cand
-        if mode_ok:
-            d0 += dd0
-            dsum += ddsum
-            current = log_target(d0, dsum, alpha)
+    k = yield
+    while True:
+        flips = flips_ok = empirical_ok = alpha_ok = 0
+        for _ in range(k):
+            # Mode update.
+            random(out=buf)
+            if buf[0] < mix:
+                flips += 1
+                pairs = (uniforms < tau).nonzero()[0].tolist()
+                if not pairs:
+                    # The mode proposes itself, which log u < 0 always accepts
+                    # with the statistics and log target as they are.
+                    flips_ok += 1
+                else:
+                    dd0 = sum([prior_gain[e] for e in pairs])
+                    ddsum = sum([data_gain[e] for e in pairs])
+                    log_ratio = dd0 * lw_prior + ddsum * lw_lik
+                    if log(buf[last]) < log_ratio:
+                        flips_ok += 1
+                        for e in pairs:
+                            mode[e] ^= 1
+                            prior_gain[e] = -prior_gain[e]
+                            data_gain[e] = -data_gain[e]
+                        log_q_mode = None
+                        d0 += dd0
+                        dsum += ddsum
+                        current = log_target(d0, dsum, alpha)
+            else:
+                cand = np.less(uniforms, empirical.freq, out=drawn).view(np.uint8)
+                d0_c, dsum_c = (empty_stats + gains @ cand).tolist()
+                if log_q_mode is None:
+                    log_q_mode = empirical.log_q(mode)
+                log_q_cand = empirical.log_q(cand)
+                log_ratio = (d0_c - d0) * lw_prior + (dsum_c - dsum) * lw_lik + (
+                    log_q_mode - log_q_cand
+                )
+                if log(buf[last]) < log_ratio:
+                    empirical_ok += 1
+                    mode[:] = cand
+                    prior_gain, data_gain = flip_gains()
+                    log_q_mode = log_q_cand
+                    d0, dsum = d0_c, dsum_c
+                    current = log_target(d0, dsum, alpha)
 
-        # Alpha update (reflected walk is symmetric).
-        alpha_c = reflected_walk(alpha, 0.0, 0.5, cfg.step_sizes_upsilon, rng)
-        alpha_ok = False
-        if 0.0 < alpha_c < 0.5:
-            target_c = log_target(d0, dsum, alpha_c)
-            alpha_ok = log(rng.random()) < target_c - current
-            if alpha_ok:
-                alpha, current = alpha_c, target_c
-                lw_lik = log(alpha) - log(1.0 - alpha)
-        return (key, mode_ok), ("alpha_walk", alpha_ok)
-
-    def state():
-        return mode, alpha, current
-
-    return _run_chain(
-        cfg, ("flip", "empirical", "alpha_walk"), step, state, "alpha", n_vertices
-    )
+            # Alpha update (reflected walk is symmetric).
+            low, width = walks[next(walk_index)]
+            alpha_c = _reflect(alpha + (low + width * random()), 0.0, 0.5)
+            if 0.0 < alpha_c < 0.5:
+                target_c = log_target(d0, dsum, alpha_c)
+                if log(random()) < target_c - current:
+                    alpha_ok += 1
+                    alpha, current = alpha_c, target_c
+                    lw_lik = log(alpha) - log(1.0 - alpha)
+        flip_tally[0] += flips_ok
+        flip_tally[1] += flips
+        empirical_tally[0] += empirical_ok
+        empirical_tally[1] += k - flips
+        alpha_tally[0] += alpha_ok
+        alpha_tally[1] += k
+        k = yield mode, alpha, current
 
 
 def plugin_alpha_tilde(pop: GraphPopulation, cer_hyper: CerCerHyper, cfg: McmcConfig) -> float:
