@@ -40,7 +40,6 @@ from .inference import (
     propose_mode_empirical,
     propose_mode_flip,
     reflected_walk,
-    sample_snf_prior_mh,
     spawn_rng,
 )
 from .metrics import (

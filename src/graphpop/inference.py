@@ -424,26 +424,28 @@ TAYLOR_BAND = 1e-9
 W_MAX = 8
 
 
-def _run_proposals(states, d, flips, lu, ends, mode_vec, gamma, engine, taylor, tally):
+def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, tally):
     """Advance each chain through its own proposals in accept-path batches.
 
-    Chain c's proposals are rows ``ends[c-1]:ends[c]`` of ``flips`` (masks that
-    flip something, in step order) and of ``lu`` (their log u). ``states`` and
-    ``d`` are updated in place, and ``tally`` (accepted, decided) carries the
-    running acceptance across blocks. ``snf_mh_matrix`` describes the batches.
+    Chain c's proposals are a block's non-empty masks at positions
+    ``ends[c-1]:ends[c]``, in step order, with log u ``lu``. ``pre`` is their
+    chain-ordered prefix XOR from ``_proposal_block`` (proposal p is
+    ``pre[p] ^ pre[p + 1]``); the block itself, at most 4M mask entries, was
+    held once beside it and is already freed. ``states`` and ``d`` are updated
+    in place, and ``tally`` (accepted, decided) carries the running acceptance
+    across blocks. ``snf_mh_matrix`` describes the batches.
     """
     phi = engine.metric.apply_phi
     pos = np.concatenate(([0], ends[:-1]))
     live = np.flatnonzero(pos < ends)
-    pre = None
     while live.size:
         accepted, decided = tally
         w = min(W_MAX, round(decided / (decided - accepted)), engine.chunk // live.size)
         p = pos[live]
         if w <= 1:
-            # One proposal per chain needs no prefix, grid or window; the
-            # window path at w = 1 stepped 1.5x slower at gamma = 60, N = 15.
-            cand = states[live] ^ flips[p]
+            # One proposal per chain needs no grid or window; the window
+            # path at w = 1 stepped 1.5x slower at gamma = 60, N = 15.
+            cand = states[live] ^ pre[p] ^ pre[p + 1]
             dc = engine.dist_to(cand, mode_vec, taylor_heat_kernels)
             ec, es, lu_w = phi(dc), phi(d[live]), lu[p]
             delta = -gamma * (ec - es)
@@ -462,16 +464,6 @@ def _run_proposals(states, d, flips, lu, ends, mode_vec, gamma, engine, taylor, 
             tally[1] += live.size
             pos[live] += 1
         else:
-            if pre is None:
-                # pre[k] = flips[0] ^ ... ^ flips[k-1], so a chain at proposal p
-                # in state s proposes s ^ pre[p] ^ pre[k + 1] at k on its path.
-                # Rows are padded to whole uint64 words, which XOR 8 bytes at once.
-                n, ne = flips.shape
-                pad = np.zeros((n + 1, -(-ne // 8) * 8), dtype=np.uint8)
-                pad[1:, :ne] = flips
-                words = pad.view(np.uint64)
-                np.bitwise_xor.accumulate(words[1:], axis=0, out=words[1:])
-                pre = pad[:, :ne]
             k = p[:, None] + np.arange(w)
             valid = k < ends[live, None]
             width = valid.sum(axis=1)
@@ -513,6 +505,32 @@ def _run_proposals(states, d, flips, lu, ends, mode_vec, gamma, engine, taylor, 
         live = live[pos[live] < ends[live]]
 
 
+def _proposal_block(rng, tau, m, n_chains, ne):
+    """Draw ``m`` steps' flip masks for ``n_chains`` chains, then their log u.
+
+    Returns ``_run_proposals``' (pre, lu, ends). A chain whose mask is empty
+    proposes its own state, which log u < 0 always accepts unchanged, so only
+    the non-empty masks f are kept, in chain order: pre[k] = f_0 ^ ... ^ f_{k-1},
+    and a chain at proposal p in state s proposes s ^ pre[p] ^ pre[k + 1] at k
+    on its path. Rows of pre are padded to whole uint64 words, which XOR 8
+    bytes at once. The masks are gathered into it and accumulated in chunks of
+    at most 256 KiB, so the block is held once beside pre and freed on return.
+    """
+    masks = bernoulli_bits(rng, tau, (m, n_chains, ne))
+    logu = np.log(rng.random((m, n_chains)))
+    chain, step = np.nonzero(masks.any(axis=2).T)
+    pad = np.zeros((step.size + 1, -(-ne // 8) * 8), dtype=np.uint8)
+    words = pad.view(np.uint64)
+    rows = max(1, (1 << 18) // pad.shape[1])
+    for lo in range(0, step.size, rows):
+        hi = min(lo + rows, step.size)
+        pad[lo + 1 : hi + 1, :ne] = masks[step[lo:hi], chain[lo:hi]]
+        words[lo + 1] ^= words[lo]
+        run = words[lo + 1 : hi + 1]
+        np.bitwise_xor.accumulate(run, axis=0, out=run)
+    return pad[:, :ne], logu[step, chain], np.bincount(chain, minlength=n_chains).cumsum()
+
+
 def _decide_on_eigh(rows, cand, lu, states, d, mode_vec, gamma, engine):
     """Decide chains ``rows``' proposals ``cand`` on eigh distances; returns the accepts."""
     phi = engine.metric.apply_phi
@@ -545,8 +563,11 @@ def snf_mh_matrix(
     Metropolis chain of ``steps`` steps with flip probability ``tau``, started
     at the mode unless ``start`` rows are given.
 
-    The masks and log u of a block of steps are drawn at once, and
-    a chain whose mask is empty skips that step. Each chain then runs through
+    The masks and log u of a block of steps (at most 4M mask entries) are
+    drawn at once, and a chain whose mask is empty skips that step. The block
+    is held once, beside the chain-ordered prefix-XOR copy of its non-empty
+    masks (``_proposal_block``); the block is freed before the chains run and
+    the copy before the next block is drawn. Each chain then runs through
     its own non-empty proposals, and one distance batch scores up to w of
     every chain's next proposals along its accept path: candidate j is the
     state XOR masks 1..j. A chain keeps every decision up to and including its
@@ -595,16 +616,9 @@ def snf_mh_matrix(
     done = 0
     while done < steps:
         m = min(block, steps - done)
-        masks = bernoulli_bits(rng, tau, (m, n_chains, engine.ne))
-        logu = np.log(rng.random((m, n_chains)))
-        # A chain whose mask is empty proposes its own state, which log u < 0
-        # always accepts unchanged, so only chains that flip something run.
-        chain, step = np.nonzero(masks.any(axis=2).T)
-        _run_proposals(
-            states, d, masks[step, chain], logu[step, chain],
-            np.bincount(chain, minlength=n_chains).cumsum(),
-            mode_vec, gamma, engine, taylor, tally,
-        )
+        pre, lu, ends = _proposal_block(rng, tau, m, n_chains, engine.ne)
+        _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, tally)
+        del pre  # released before the next block is drawn
         done += m
     if taylor:
         exact = engine.dist_to(states, mode_vec)
@@ -945,40 +959,6 @@ def exact_posterior_cer(
 # ---------------------------------------------------------------------------
 # SN/SN fitting (exchange algorithm)
 # ---------------------------------------------------------------------------
-
-
-def sample_snf_prior_mh(
-    hyper: SnSnHyper, cfg: McmcConfig, rng: Optional[np.random.Generator] = None
-) -> Trace:
-    """Metropolis sampling of the SNF prior exp(-gamma0 phi(d(., g0))).
-
-    Uses the flip kernel; the partition function cancels from the ratio.
-    """
-    n_vertices = hyper.g0.n_vertices
-    ne = n_pairs(n_vertices)
-    tau = cfg.resolved_tau(ne)
-    if rng is None:
-        rng = spawn_rng(cfg.seed)
-    engine = _MetricEngine(hyper.metric, n_vertices)
-    g0_vec = hyper.g0.to_vector()
-    phi = hyper.metric.apply_phi
-
-    current = g0_vec.copy()
-    energy = float(phi(engine.dist_to(current[None, :], g0_vec)[0]))
-
-    def step():
-        nonlocal current, energy
-        cand = _flip(current, tau, rng)
-        energy_c = float(phi(engine.dist_to(cand[None, :], g0_vec)[0]))
-        accepted = log(rng.random()) < -hyper.gamma0 * (energy_c - energy)
-        if accepted:
-            current, energy = cand, energy_c
-        return (("flip", accepted),)
-
-    def state():
-        return current, hyper.gamma0, -hyper.gamma0 * energy
-
-    return _run_chain(cfg, ("flip",), step, state, "gamma", n_vertices)
 
 
 def fit_sn_sn(

@@ -68,6 +68,24 @@ class TestEqualsSequentialLoop:
         assert d.max() > 0
         _assert_same((states, d), ref)
 
+    def test_hamming_across_gather_chunks(self, monkeypatch):
+        # A block's non-empty masks are gathered into the prefix buffer in
+        # chunks of 256 KiB: 8192 rows of 28 pairs, padded to 32 bytes.
+        sizes = []
+        real = inference._proposal_block
+
+        def spy(*args):
+            pre, lu, ends = real(*args)
+            sizes.append(lu.size)
+            return pre, lu, ends
+
+        monkeypatch.setattr(inference, "_proposal_block", spy)
+        metric = MetricSpec(kind="hamming")
+        (states, d), ref = _run_both(metric, 8, 1.0, 20, 1000, 65, False)
+        assert len(sizes) == 1 and sizes[0] > (1 << 18) // 32
+        assert d.max() > 0
+        _assert_same((states, d), ref)
+
     @pytest.mark.parametrize("gamma", [0.5, 4.0])
     @pytest.mark.parametrize("phi", ["identity", "square"])
     def test_wide_band_ties_inside_windows(self, monkeypatch, gamma, phi):

@@ -107,3 +107,24 @@ def test_snf_inner_chains_peak_below_16_mib_under_hamming():
     )
     assert states.shape == (10, engine.ne) and d.shape == (10,)
     assert peak <= 16 * MIB
+
+
+@pytest.mark.parametrize(
+    "metric, n_vertices, steps",
+    [(MetricSpec(kind="hamming"), 50, 1000), (MetricSpec(kind="diffusion", t=1.0), 15, 2100)],
+    ids=["hamming-n50", "diffusion-n15"],
+)
+def test_snf_inner_chains_hold_one_proposal_block(metric, n_vertices, steps):
+    # A block is held once, beside the prefix-XOR copy of its non-empty masks
+    # (~63% of it at tau = 1/N_e), and is freed before the next block is drawn.
+    rng = np.random.default_rng(4)
+    engine = _MetricEngine(metric, n_vertices)
+    mode = random_graph(n_vertices, rng, p=0.1).to_vector()
+    n_chains = 10
+    (states, d), peak = traced_peak(
+        lambda: snf_mh_matrix(mode, 4.6, engine, n_chains, steps, 1.0 / engine.ne, rng)
+    )
+    assert states.shape == (n_chains, engine.ne) and d.shape == (n_chains,)
+    # Three blocks of 342 steps at N = 50, one of 2100 steps at N = 15.
+    block_steps = min(steps, (1 << 22) // (n_chains * engine.ne))
+    assert peak <= 1.75 * block_steps * n_chains * engine.ne + 2 * MIB

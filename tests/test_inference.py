@@ -31,7 +31,6 @@ from graphpop.inference import (
     propose_mode_empirical,
     propose_mode_flip,
     reflected_walk,
-    sample_snf_prior_mh,
     snf_mh_matrix,
     spawn_rng,
 )
@@ -296,33 +295,6 @@ class TestExactPosteriorCer:
         mode, pop = make_cer_data(seed=15)
         with pytest.raises(DomainError):
             exact_posterior_cer(pop, CerCerHyper(g0=mode, alpha0=0.1), [0.0, 0.2])
-
-
-class TestSnfPriorSampler:
-    def test_degenerate_concentration(self):
-        g0 = LabelledGraph.from_edges(4, [(0, 1), (2, 3)])
-        hyper = SnSnHyper(g0=g0, gamma0=50.0, metric=HAMMING)
-        cfg = McmcConfig(n_samples=2000, burn_in=200, seed=16)
-        trace = sample_snf_prior_mh(hyper, cfg)
-        frac = np.mean([g == g0 for g in trace.graphs])
-        assert frac > 0.99
-
-    def test_matches_exact_distribution_at_n4(self):
-        rng = spawn_rng(17)
-        g0 = random_graph(4, rng)
-        hyper = SnSnHyper(g0=g0, gamma0=0.8, metric=HAMMING)
-        cfg = McmcConfig(n_samples=100_000, burn_in=2000, lag=1, seed=18)
-        trace = sample_snf_prior_mh(hyper, cfg)
-        exact = snf_exact(SnfParams(g0, 0.8, HAMMING))
-        assert tv_distance(graph_marginal_from_trace(trace, 64), exact.probs) < 0.05
-
-    def test_uniform_limit_edge_density(self):
-        g0 = LabelledGraph(3, 0)
-        hyper = SnSnHyper(g0=g0, gamma0=1e-8, metric=HAMMING)
-        cfg = McmcConfig(n_samples=30_000, burn_in=500, seed=19, flip_prob_tau=0.4)
-        trace = sample_snf_prior_mh(hyper, cfg)
-        density = np.mean([g.n_edges / 3 for g in trace.graphs])
-        assert abs(density - 0.5) < 0.02
 
 
 def make_snf_hyper(mode, metric=HAMMING, gamma0=1.0):

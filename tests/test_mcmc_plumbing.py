@@ -22,7 +22,6 @@ from graphpop.inference import (
     SnSnHyper,
     fit_cer_cer,
     fit_sn_sn,
-    sample_snf_prior_mh,
     spawn_rng,
 )
 from graphpop.metrics import MetricSpec
@@ -106,10 +105,6 @@ class TestNoVertexPairs:
         with pytest.raises(DomainError):
             fit_sn_sn(self.POP, SnSnHyper(g0=self.ONE, gamma0=1.0), self.CFG, 0.1)
 
-    def test_sample_snf_prior_mh(self):
-        with pytest.raises(DomainError):
-            sample_snf_prior_mh(SnSnHyper(g0=self.ONE, gamma0=1.0), self.CFG)
-
 
 class TestAcceptanceBookkeeping:
     def test_all_kernels_reported_as_python_ints(self):
@@ -125,7 +120,6 @@ class TestAcceptanceBookkeeping:
                 replace(flip_only, step_sizes_upsilon=(0.1, 0.4), aux_inner_steps=20),
                 0.1,
             ),
-            ("flip",): sample_snf_prior_mh(SnSnHyper(g0=mode, gamma0=2.0), flip_only),
         }
         for kernels, trace in traces.items():
             assert tuple(trace.accept_counts) == kernels

@@ -57,6 +57,20 @@ class TestSampleMatrix:
         assert got.dtype == np.uint8 and got.shape == (5, ne)
         assert np.array_equal(got, want)
 
+    def test_hamming_snf_at_n50_has_the_binomial_distance_law(self):
+        # With identity phi the Hamming SNF is CER with alpha = 1/(1 + e^gamma),
+        # so each draw's distance to the mode is Binomial(N_e, alpha). The mean
+        # of 20 draws from default-length inner chains (20 N_e steps) must sit
+        # within |z| <= 4 of it, the bound the benchmark applies to `simulate`.
+        mode = random_graph(50, spawn_rng(5), p=0.1)
+        ne, gamma = mode.n_pairs, 4.6
+        params = SnfParams(mode, gamma, MetricSpec("hamming"))
+        draws = sample_matrix(params, 20, spawn_rng(6), DEFAULT)
+        mean = (draws != mode.to_vector()).sum(axis=1).mean()
+        alpha = 1.0 / (1.0 + np.exp(gamma))
+        z = (mean - ne * alpha) / np.sqrt(ne * alpha * (1.0 - alpha) / 20)
+        assert abs(z) <= 4.0
+
     def test_cer_needs_no_flip_probability_without_vertex_pairs(self):
         params = CerParams(LabelledGraph(1, 0), 0.1)
         assert sample_matrix(params, 3, spawn_rng(0), DEFAULT).shape == (3, 0)
