@@ -46,13 +46,13 @@ from .experiments import (
 )
 from .graphs import (
     ErdosRenyi,
-    GraphPopulation,
     LabelledGraph,
     RandomGeometric,
     SmallWorld,
     StochasticBlockModel,
     majority_vote,
-    sample_generator,
+    n_pairs,
+    sample_generator_matrix,
 )
 from .inference import (
     CerCerHyper,
@@ -64,7 +64,7 @@ from .inference import (
     fit_sn_sn,
     plugin_alpha_tilde,
     posterior_summary,
-    sample_matrix,
+    sample_blocks,
     spawn_rng,
 )
 from .metrics import MetricSpec, classical_mds, distance_matrix
@@ -125,9 +125,15 @@ def _cmd_simulate(args) -> int:
     rng = spawn_rng(values["seed"])
     n, count = values["n_vertices"], values["n_graphs"]
     kind = values["kind"]
+    rows = gio.chunk_rows(n_pairs(n))
+    # Blocks are drawn lazily, as the writer asks for them, so one block is
+    # held at a time (SNF chain draws above N = 5 hold all of theirs).
     if kind in ("er", "sbm", "sw", "rgg"):
         spec = _generator_from(kind, values)
-        graphs = tuple(sample_generator(spec, n, rng) for _ in range(count))
+        blocks = (
+            sample_generator_matrix(spec, n, min(rows, count - r), rng)
+            for r in range(0, count, rows)
+        )
     else:
         if values["mode"] is None:
             raise ConfigError("key 'mode' (adjacency CSV path) is required for model sampling")
@@ -139,11 +145,8 @@ def _cmd_simulate(args) -> int:
         else:
             params = SnfParams(mode, values["gamma"], _metric_from(values))
         knobs = McmcConfig(n_samples=0, aux_inner_steps=values["inner_steps"])
-        mat = sample_matrix(params, count, rng, knobs)
-        graphs = tuple(LabelledGraph.from_vector(n, row) for row in mat)
-    pop = GraphPopulation(graphs, tuple(f"g{k + 1}" for k in range(count)))
-    pop_path = f"{out}/population.ndjson"
-    gio.write_population(pop, pop_path)
+        blocks = sample_blocks(params, count, rows, rng, knobs)
+    gio.write_population(blocks, f"{out}/population.ndjson", n)
     gio.write_manifest(
         f"{out}/manifest.json", values, values["seed"], ["population.ndjson"], started, _now()
     )

@@ -162,6 +162,18 @@ def bits_to_vector(bits: int, length: int) -> np.ndarray:
     return np.unpackbits(np.frombuffer(raw, dtype=np.uint8), count=length, bitorder="little")
 
 
+def edge_matrix(graphs: Sequence[LabelledGraph], length: int) -> np.ndarray:
+    """Edge vectors of ``graphs`` stacked as a C-contiguous (len, length) uint8 matrix.
+
+    Row k equals ``graphs[k].to_vector()``; the bit-sets are unpacked in one
+    call rather than one per graph.
+    """
+    width = (length + 7) // 8
+    raw = b"".join(g.edge_bits.to_bytes(width, "little") for g in graphs)
+    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
+    return np.ascontiguousarray(bits.reshape(len(graphs), 8 * width)[:, :length])
+
+
 def vector_to_bits(vec: np.ndarray) -> int:
     """Bit-set whose bit p is set iff entry p of ``vec`` is nonzero."""
     packed = np.packbits(np.asarray(vec) != 0, bitorder="little")
@@ -238,7 +250,7 @@ class GraphPopulation:
 
     def to_matrix(self) -> np.ndarray:
         """Stacked edge-indicator matrix of shape (n_graphs, n_pairs)."""
-        return np.stack([g.to_vector() for g in self.graphs])
+        return edge_matrix(self.graphs, self.graphs[0].n_pairs)
 
     def edge_frequencies(self) -> np.ndarray:
         """Per-position empirical edge inclusion frequency."""
@@ -333,30 +345,47 @@ GeneratorSpec = Union[ErdosRenyi, StochasticBlockModel, SmallWorld, RandomGeomet
 
 def sample_generator(spec: GeneratorSpec, n_vertices: int, rng: np.random.Generator) -> LabelledGraph:
     """One draw from the given random-graph generator on n_vertices vertices."""
+    return LabelledGraph.from_vector(n_vertices, sample_generator_matrix(spec, n_vertices, 1, rng)[0])
+
+
+def sample_generator_matrix(
+    spec: GeneratorSpec, n_vertices: int, count: int, rng: np.random.Generator
+) -> np.ndarray:
+    """``count`` generator draws stacked as a (count, n_pairs) uint8 edge-indicator matrix.
+
+    Rows are drawn one after another, except that Erdos-Renyi rows are one
+    ``bernoulli_bits`` draw, which reads the same uniforms in the same order.
+    So ``count`` calls with count = 1 give the same rows and leave the
+    generator in the same state.
+    """
     if n_vertices < 1:
         raise InvalidSpecError("n_vertices must be >= 1")
     if isinstance(spec, ErdosRenyi):
-        vec = bernoulli_bits(rng, spec.p, n_pairs(n_vertices))
-        return LabelledGraph.from_vector(n_vertices, vec)
+        return bernoulli_bits(rng, spec.p, (count, n_pairs(n_vertices)))
+    out = np.empty((count, n_pairs(n_vertices)), dtype=np.uint8)
+    for row in out:
+        row[:] = _generator_vector(spec, n_vertices, rng)
+    return out
+
+
+def _generator_vector(spec: GeneratorSpec, n_vertices: int, rng: np.random.Generator) -> np.ndarray:
     if isinstance(spec, StochasticBlockModel):
         blocks = rng.choice(spec.n_blocks, size=n_vertices, p=spec.membership_probs)
         ii, jj = pair_positions(n_vertices)
         probs = np.where(blocks[ii] == blocks[jj], spec.within_p, spec.between_p)
-        vec = bernoulli_bits(rng, probs, len(probs))
-        return LabelledGraph.from_vector(n_vertices, vec)
+        return bernoulli_bits(rng, probs, len(probs))
     if isinstance(spec, SmallWorld):
-        return _sample_small_world(spec, n_vertices, rng)
+        return _small_world_vector(spec, n_vertices, rng)
     if isinstance(spec, RandomGeometric):
         pts = rng.random((n_vertices, 2))
         diff = pts[:, None, :] - pts[None, :, :]
         dist = np.sqrt((diff**2).sum(axis=2))
         ii, jj = pair_positions(n_vertices)
-        vec = (dist[ii, jj] <= spec.radius).astype(np.uint8)
-        return LabelledGraph.from_vector(n_vertices, vec)
+        return (dist[ii, jj] <= spec.radius).astype(np.uint8)
     raise InvalidSpecError(f"unknown generator spec {spec!r}")
 
 
-def _sample_small_world(spec: SmallWorld, n_vertices: int, rng: np.random.Generator) -> LabelledGraph:
+def _small_world_vector(spec: SmallWorld, n_vertices: int, rng: np.random.Generator) -> np.ndarray:
     half = spec.lattice_degree // 2
     if half >= n_vertices - half:
         raise InvalidSpecError("lattice_degree too large for this vertex count")
@@ -383,4 +412,7 @@ def _sample_small_world(spec: SmallWorld, n_vertices: int, rng: np.random.Genera
             k = candidates[rng.integers(len(candidates))]
             edges.remove(e)
             edges.add((min(i, k), max(i, k)))
-    return LabelledGraph.from_edges(n_vertices, sorted(edges))
+    vec = np.zeros(n_pairs(n_vertices), dtype=np.uint8)
+    for i, j in edges:
+        vec[pair_index(i, j, n_vertices)] = 1
+    return vec

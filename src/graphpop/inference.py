@@ -659,6 +659,33 @@ def sample_matrix(
     return states
 
 
+def sample_blocks(
+    params: Union[CerParams, SnfParams],
+    count: int,
+    rows: int,
+    rng: np.random.Generator,
+    mcmc: McmcConfig,
+) -> Iterator[np.ndarray]:
+    """``sample_matrix(params, count, rng, mcmc)`` in blocks of at most ``rows`` rows.
+
+    The blocks stack to the bytes of the one call. CER draws and exact SNF
+    draws (N <= 5) read the generator row by row, so each block is its own
+    ``sample_matrix`` call, drawn when the consumer asks for it; the SNF
+    blocks share one engine. SNF chain draws above N = 5 are one call, since
+    their stream depends on the chain count, and are only sliced.
+    """
+    engine = None
+    if isinstance(params, SnfParams):
+        engine = _MetricEngine(params.metric, params.mode.n_vertices)
+        if not engine.small:
+            mat = sample_matrix(params, count, rng, mcmc, engine)
+            for r in range(0, count, rows):
+                yield mat[r : r + rows]
+            return
+    for r in range(0, count, rows):
+        yield sample_matrix(params, min(rows, count - r), rng, mcmc, engine)
+
+
 # ---------------------------------------------------------------------------
 # Shared Metropolis-Hastings driver
 # ---------------------------------------------------------------------------

@@ -13,14 +13,25 @@ import json
 import os
 from dataclasses import asdict, dataclass, fields
 from functools import lru_cache
-from typing import Any, Callable, Iterator, Optional, Union, get_args, get_origin, get_type_hints
+from typing import (
+    Any,
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Sequence,
+    Union,
+    get_args,
+    get_origin,
+    get_type_hints,
+)
 
 import numpy as np
 
 from . import __version__
 from .diagnostics import chi2_quantile
 from .errors import ConfigError, ParseError, SchemaError
-from .graphs import GraphPopulation, LabelledGraph, pair_positions
+from .graphs import GraphPopulation, LabelledGraph, edge_matrix, n_pairs, pair_positions
 from .inference import McmcConfig, Trace
 from .metrics import DistanceMatrix
 
@@ -43,14 +54,71 @@ def _pair_texts(n_vertices: int) -> np.ndarray:
     return texts
 
 
-def _edges_json(g: LabelledGraph) -> str:
-    """``json.dumps(_edges_1based(g), separators=(",", ":"))``, from the pair table."""
-    on = g.to_vector().nonzero()[0]
-    return "[" + ",".join(_pair_texts(g.n_vertices)[on].tolist()) + "]"
+# Populations are drawn and written, and traces written, in blocks of at most
+# this many edge indicators (256 KiB of uint8), however many graphs they hold:
+# as many as graphs.BERNOULLI_BUFFER holds uniforms, so a block of CER draws
+# fills that buffer once. While a block is written, its edge positions and
+# texts take about 24 bytes per edge.
+CHUNK_ENTRIES = 1 << 18
+
+
+def chunk_rows(width: int) -> int:
+    """Rows of a ``width``-column uint8 block of at most ``CHUNK_ENTRIES`` entries (at least 1)."""
+    return max(1, CHUNK_ENTRIES // max(1, width))
+
+
+def _edge_lists(block: np.ndarray, n_vertices: int) -> Iterator[str]:
+    """``json.dumps(edges, separators=(",", ":"))`` of each row of a 0/1 uint8 edge block.
+
+    One ``flatnonzero`` over the block picks every edge's "[i,j]" text from the
+    pair table; each row's texts are then joined in order.
+    """
+    ne = block.shape[1]
+    on = np.flatnonzero(block.view(np.bool_))
+    ends = np.searchsorted(on, np.arange(1, block.shape[0] + 1) * ne).tolist()
+    np.remainder(on, ne, out=on)  # empty when ne = 0
+    texts = _pair_texts(n_vertices)[on].tolist()
+    del on
+    start = 0
+    for end in ends:
+        yield "[" + ",".join(texts[start:end]) + "]"
+        start = end
+
+
+def _graph_blocks(graphs: Sequence[LabelledGraph], n_vertices: int) -> Iterator[np.ndarray]:
+    """The edge matrix of ``graphs`` in blocks of ``chunk_rows`` rows."""
+    ne = n_pairs(n_vertices)
+    rows = chunk_rows(ne)
+    for r in range(0, len(graphs), rows):
+        yield edge_matrix(graphs[r : r + rows], ne)
+
+
+def _write_lines(
+    fh, blocks: Iterable[np.ndarray], n_vertices: int, line: Callable[[int, str], str]
+) -> None:
+    """Write ``line(k, edges)`` for the k-th graph of the blocks, one block at a time.
+
+    ``edges`` is the graph's compact JSON edge list. A block and its edge
+    texts are freed before the next block is asked for.
+    """
+    k = 0
+    for block in blocks:
+        for edges in _edge_lists(block, n_vertices):
+            fh.write(line(k, edges))
+            k += 1
+        del block
 
 
 # json.dumps(value, separators=(",", ":")) without building an encoder per call.
 _json = json.JSONEncoder(separators=(",", ":")).encode
+
+# json.dumps of a float is its repr, except for these three spellings.
+_NON_FINITE = {"nan": "NaN", "inf": "Infinity", "-inf": "-Infinity"}
+
+
+def _json_float(x: float) -> str:
+    text = repr(x)
+    return _NON_FINITE.get(text, text)
 
 
 def _ndjson_records(path: str) -> Iterator[tuple[int, dict]]:
@@ -122,13 +190,39 @@ def read_population(path: str) -> GraphPopulation:
     return GraphPopulation(tuple(graphs), tuple(ids))
 
 
-def write_population(pop: GraphPopulation, path: str) -> None:
+def write_population(
+    pop: Union[GraphPopulation, Iterable[np.ndarray]], path: str, n_vertices: Optional[int] = None
+) -> None:
     """One compact JSON object per graph, written field by field: the bytes of
-    ``json.dumps({"id": .., "n": .., "edges": ..}, separators=(",", ":"))``."""
-    with open(path, "w", encoding="utf-8") as fh:
-        for k, g in enumerate(pop.graphs):
-            gid = pop.ids[k] if pop.ids is not None else f"g{k + 1}"
-            fh.write(f'{{"id":{_json(gid)},"n":{g.n_vertices},"edges":{_edges_json(g)}}}\n')
+    ``json.dumps({"id": .., "n": .., "edges": ..}, separators=(",", ":"))``.
+
+    ``pop`` is a ``GraphPopulation`` or an iterable of (rows, N_e) uint8 edge
+    blocks on ``n_vertices`` vertices, whose graphs get the ids g1, g2, ...
+    Each block is written as soon as it arrives, so a caller that draws its
+    blocks lazily holds one at a time. The file is written under a temporary
+    name beside ``path`` and renamed onto it after the last block; if anything
+    raises first (a block's draw too), no file is left at either name.
+    """
+    if isinstance(pop, GraphPopulation):
+        n_vertices = pop.n_vertices
+        blocks = _graph_blocks(pop.graphs, n_vertices)
+        ids = pop.ids
+    else:
+        blocks, ids = pop, None
+
+    def line(k: int, edges: str) -> str:
+        gid = _json(ids[k]) if ids is not None else f'"g{k + 1}"'
+        return f'{{"id":{gid},"n":{n_vertices},"edges":{edges}}}\n'
+
+    part = path + ".part"
+    try:
+        with open(part, "w", encoding="utf-8") as fh:
+            _write_lines(fh, blocks, n_vertices, line)
+        os.replace(part, path)
+    except BaseException:
+        if os.path.exists(part):
+            os.remove(part)
+        raise
 
 
 def read_adjacency_csv(path: str) -> LabelledGraph:
@@ -182,13 +276,12 @@ def write_trace(trace: Trace, path: str) -> None:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         # Each sample line has the bytes of json.dumps({"iter", "edges",
         # "param", "log_kernel"}, separators=(",", ":")).
-        for it, (g, p, lk) in enumerate(
-            zip(trace.graphs, trace.params, trace.log_kernels)
-        ):
-            fh.write(
-                f'{{"iter":{it},"edges":{_edges_json(g)},'
-                f'"param":{_json(float(p))},"log_kernel":{_json(float(lk))}}}\n'
-            )
+        def line(it: int, edges: str) -> str:
+            p, lk = _json_float(float(trace.params[it])), _json_float(float(trace.log_kernels[it]))
+            return f'{{"iter":{it},"edges":{edges},"param":{p},"log_kernel":{lk}}}\n'
+
+        blocks = _graph_blocks(trace.graphs, trace.n_vertices)
+        _write_lines(fh, blocks, trace.n_vertices, line)
 
 
 def read_trace(path: str) -> Trace:
