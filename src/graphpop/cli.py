@@ -68,7 +68,7 @@ from .inference import (
     spawn_rng,
 )
 from .metrics import MetricSpec, classical_mds, distance_matrix
-from .models import CerParams, SnfParams, sample_frechet_mean
+from .models import CerParams, SnfParams, _sorted_quantile, sample_frechet_mean
 
 # Failures of a run on valid input exit 2; every other package error exits 1.
 _RUNTIME_ERRORS = (EigDecompositionFailureError, InternalInconsistencyError, NonFiniteLogRatioError)
@@ -344,6 +344,7 @@ def _cmd_diagnose(args) -> int:
         trace, args.model, pop, stat, Chi2Config(), rng, metric=metric,
         n_sims=args.chi2_sims, max_draws=args.max_draws, **knobs,
     )
+    rb_values = np.sort(chi2.rb_values)
     report = {
         "statistic": args.stat,
         "observed": ppc.eta0,
@@ -351,9 +352,9 @@ def _cmd_diagnose(args) -> int:
         "chi2_exceedance_fraction": chi2.exceedance_fraction,
         "chi2_threshold": chi2.threshold,
         "chi2_rb_quantiles": {
-            "q25": float(np.quantile(chi2.rb_values, 0.25)),
-            "q50": float(np.quantile(chi2.rb_values, 0.5)),
-            "q75": float(np.quantile(chi2.rb_values, 0.75)),
+            "q25": float(_sorted_quantile(rb_values, 0.25)),
+            "q50": float(_sorted_quantile(rb_values, 0.5)),
+            "q75": float(_sorted_quantile(rb_values, 0.75)),
         },
     }
     with open(f"{out}/diagnostics.json", "w", encoding="utf-8") as fh:

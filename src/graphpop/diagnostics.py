@@ -21,7 +21,7 @@ from .errors import DomainError, EmptyTraceError, TooFewObservationsError
 from .graphs import GraphPopulation, LabelledGraph, n_pairs, pair_positions
 from .inference import McmcConfig, Trace, _MetricEngine, sample_matrix, snf_mh_matrix
 from .metrics import MetricSpec
-from .models import CerParams, SnfParams
+from .models import CerParams, SnfParams, _sorted_quantile
 
 
 # ---------------------------------------------------------------------------
@@ -67,25 +67,6 @@ def _incidence(n_vertices: int) -> np.ndarray:
     m[np.arange(len(ii)), ii] = 1.0
     m[np.arange(len(jj)), jj] = 1.0
     return m
-
-
-def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
-    """``np.quantile(rows, q, axis=1)`` of rows already sorted ascending.
-
-    numpy's linear method: the level sits at position (N - 1)·q between the
-    entries a and b around it, and is read as a + (b - a)·t for a fraction
-    t < 0.5, else as b - (b - a)·(1 - t), so the values are the same bits.
-    """
-    last = rows.shape[1] - 1
-    pos = last * q
-    if pos >= last:
-        return rows[:, last].astype(np.float64)
-    lo = int(pos)
-    t = pos - lo
-    a = rows[:, lo].astype(np.float64)
-    b = rows[:, lo + 1].astype(np.float64)
-    d = b - a
-    return a + d * t if t < 0.5 else b - d * (1 - t)
 
 
 def _statistic_rows(
@@ -405,7 +386,8 @@ def gamma_profile(
         states, dists = snf_mh_matrix(
             mode_vec, float(gamma), engine, draws_per_gamma, steps, tau, rng
         )
-        q1, med, q3 = np.quantile(dists, [0.25, 0.5, 0.75])
+        ranked = np.sort(dists)
+        q1, med, q3 = (_sorted_quantile(ranked, q) for q in (0.25, 0.5, 0.75))
         iqr = q3 - q1
         inside = dists[(dists >= q1 - 1.5 * iqr) & (dists <= q3 + 1.5 * iqr)]
         rows.append(

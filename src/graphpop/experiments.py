@@ -55,7 +55,7 @@ from .inference import (
     spawn_rng,
 )
 from .metrics import MetricSpec
-from .models import CerParams, SnfParams
+from .models import CerParams, SnfParams, _sorted_quantile
 
 
 @dataclass(frozen=True)
@@ -334,7 +334,7 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
     _, dists = snf_mh_matrix(
         truth.to_vector(), cfg.resolved_gamma, engine, 2000, steps, tau, rng
     )
-    return float(np.quantile(dists, 1.0 - cfg.delta))
+    return float(_sorted_quantile(np.sort(dists), 1.0 - cfg.delta))
 
 
 def _prediction_replicate(cfg: StudyConfig, r: int) -> dict[int, PredictionResult]:
@@ -359,7 +359,7 @@ def _prediction_replicate(cfg: StudyConfig, r: int) -> dict[int, PredictionResul
         draws = predictive_draws(trace, idx, partial(_model_params, cfg), 1, pred_rng, cfg.mcmc)
         preds = (LabelledGraph.from_vector(cfg.n_vertices, d[0]) for d in draws)
         minima = np.array([min(metric.distance(p, t) for t in test) for p in preds])
-        psi = float(np.quantile(minima, 1.0 - cfg.delta))
+        psi = float(_sorted_quantile(np.sort(minima), 1.0 - cfg.delta))
         out[n] = PredictionResult(psi, rho)
     return out
 

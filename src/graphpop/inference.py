@@ -24,9 +24,7 @@ from typing import Callable, Iterator, Optional, Union
 
 import numpy as np
 
-# Both load on first use otherwise, inside a command's timed run: spawn_rng
-# needs numpy.random, and np.quantile reaches numpy.ma through np.unique.
-import numpy.ma  # noqa: F401
+# Loads on first use otherwise, inside a command's timed run: spawn_rng needs it.
 import numpy.random  # noqa: F401
 
 from .errors import (
@@ -39,6 +37,7 @@ from .errors import (
     StepTooLargeError,
 )
 from .graphs import (
+    BERNOULLI_BUFFER,
     GraphPopulation,
     LabelledGraph,
     bernoulli_bits,
@@ -52,6 +51,7 @@ from .models import (
     CerParams,
     SnfParams,
     _logsumexp,
+    _sorted_quantile,
     _space_distance_table,
     cer_sample_matrix,
     sample_frechet_mean,
@@ -430,12 +430,14 @@ def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, ta
     Chain c's proposals are a block's non-empty masks at positions
     ``ends[c-1]:ends[c]``, in step order, with log u ``lu``. ``pre`` is their
     chain-ordered prefix XOR from ``_proposal_block`` (proposal p is
-    ``pre[p] ^ pre[p + 1]``); the block itself, at most 4M mask entries, was
-    held once beside it and is already freed. ``states`` and ``d`` are updated
-    in place, and ``tally`` (accepted, decided) carries the running acceptance
-    across blocks. ``snf_mh_matrix`` describes the batches.
+    ``pre[p] ^ pre[p + 1]``). ``states`` and ``pre`` hold bit-packed rows
+    (``_pack``); each batch's candidates are XORed as words and unpacked
+    only for ``engine.dist_to``. ``states`` and ``d`` are updated in place,
+    and ``tally`` (accepted, decided) carries the running acceptance across
+    blocks. ``snf_mh_matrix`` describes the batches.
     """
     phi = engine.metric.apply_phi
+    ne = engine.ne
     pos = np.concatenate(([0], ends[:-1]))
     live = np.flatnonzero(pos < ends)
     while live.size:
@@ -446,7 +448,7 @@ def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, ta
             # One proposal per chain needs no grid or window; the window
             # path at w = 1 stepped 1.5x slower at gamma = 60, N = 15.
             cand = states[live] ^ pre[p] ^ pre[p + 1]
-            dc = engine.dist_to(cand, mode_vec, taylor_heat_kernels)
+            dc = engine.dist_to(_unpack(cand, ne), mode_vec, taylor_heat_kernels)
             ec, es, lu_w = phi(dc), phi(d[live]), lu[p]
             delta = -gamma * (ec - es)
             acc = lu_w < delta
@@ -469,7 +471,7 @@ def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, ta
             width = valid.sum(axis=1)
             first = width.cumsum() - width  # row of each chain's first candidate
             cand = np.repeat(states[live] ^ pre[p], width, axis=0) ^ pre[k[valid] + 1]
-            dc = engine.dist_to(cand, mode_vec, taylor_heat_kernels)
+            dc = engine.dist_to(_unpack(cand, ne), mode_vec, taylor_heat_kernels)
             dw = np.full(k.shape, np.nan)  # NaN past a chain's last proposal: never accepted
             dw[valid] = dc
             ds = np.empty_like(dw)
@@ -505,37 +507,59 @@ def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, ta
         live = live[pos[live] < ends[live]]
 
 
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Bit-packed copy of uint8 edge rows: ceil(N_e / 64) uint64 words per row.
+
+    Bit p of a row (bit p % 64 of little-endian word p // 64) is entry p, the
+    layout of ``LabelledGraph.edge_bits``; the padding bits are 0.
+    """
+    out = np.zeros((rows.shape[0], -(-rows.shape[1] // 64)), dtype=np.uint64)
+    out.view(np.uint8)[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out
+
+
+def _unpack(words: np.ndarray, ne: int) -> np.ndarray:
+    """The (rows, ne) uint8 edge rows of C-contiguous packed rows ``words``."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=ne, bitorder="little")
+
+
 def _proposal_block(rng, tau, m, n_chains, ne):
     """Draw ``m`` steps' flip masks for ``n_chains`` chains, then their log u.
 
-    Returns ``_run_proposals``' (pre, lu, ends). A chain whose mask is empty
-    proposes its own state, which log u < 0 always accepts unchanged, so only
-    the non-empty masks f are kept, in chain order: pre[k] = f_0 ^ ... ^ f_{k-1},
-    and a chain at proposal p in state s proposes s ^ pre[p] ^ pre[k + 1] at k
-    on its path. Rows of pre are padded to whole uint64 words, which XOR 8
-    bytes at once. The masks are gathered into it and accumulated in chunks of
-    at most 256 KiB, so the block is held once beside pre and freed on return.
+    Returns ``_run_proposals``' (pre, lu, ends). The masks are drawn in
+    sub-chunks of whole steps of at most ``BERNOULLI_BUFFER`` entries (the
+    doubles, and their order, of one draw of the block) and each (step,
+    chain) mask is bit-packed as it is drawn (``_pack``), so a block's at most
+    4M mask entries are held as bits. Keep the sub-chunk at the buffer's 2 MiB:
+    freeing that much raises glibc's mmap threshold, which keeps
+    ``taylor_heat_kernels``' 256 KiB temporaries on the heap. With 2^15-entry
+    sub-chunks they were mapped afresh each time: a 20-graph diffusion
+    ``simulate`` at N = 15 took 94,139 minor page faults against 1,622, and
+    about 18% more time. A chain whose mask is empty proposes its own state,
+    which log u < 0 always accepts unchanged, so only the non-empty masks f
+    are kept, in chain order: pre[k] = f_0 ^ ... ^ f_{k-1}, and a chain at
+    proposal p in state s proposes s ^ pre[p] ^ pre[k + 1] at k on its path.
     """
-    masks = bernoulli_bits(rng, tau, (m, n_chains, ne))
+    # Row step * n_chains + chain: the C order of the one draw of the block.
+    packed = np.empty((m * n_chains, -(-ne // 64)), dtype=np.uint64)
+    sub = max(1, BERNOULLI_BUFFER // max(1, n_chains * ne))
+    for lo in range(0, m, sub):
+        hi = min(lo + sub, m)
+        rows = (hi - lo) * n_chains
+        packed[lo * n_chains : hi * n_chains] = _pack(bernoulli_bits(rng, tau, (rows, ne)))
     logu = np.log(rng.random((m, n_chains)))
-    chain, step = np.nonzero(masks.any(axis=2).T)
-    pad = np.zeros((step.size + 1, -(-ne // 8) * 8), dtype=np.uint8)
-    words = pad.view(np.uint64)
-    rows = max(1, (1 << 18) // pad.shape[1])
-    for lo in range(0, step.size, rows):
-        hi = min(lo + rows, step.size)
-        pad[lo + 1 : hi + 1, :ne] = masks[step[lo:hi], chain[lo:hi]]
-        words[lo + 1] ^= words[lo]
-        run = words[lo + 1 : hi + 1]
-        np.bitwise_xor.accumulate(run, axis=0, out=run)
-    return pad[:, :ne], logu[step, chain], np.bincount(chain, minlength=n_chains).cumsum()
+    chain, step = np.nonzero(packed.any(axis=1).reshape(m, n_chains).T)
+    pre = np.zeros((step.size + 1, packed.shape[1]), dtype=np.uint64)
+    pre[1:] = packed[step * n_chains + chain]
+    np.bitwise_xor.accumulate(pre, axis=0, out=pre)
+    return pre, logu[step, chain], np.bincount(chain, minlength=n_chains).cumsum()
 
 
 def _decide_on_eigh(rows, cand, lu, states, d, mode_vec, gamma, engine):
-    """Decide chains ``rows``' proposals ``cand`` on eigh distances; returns the accepts."""
+    """Decide chains ``rows``' packed proposals ``cand`` on eigh distances; returns the accepts."""
     phi = engine.metric.apply_phi
-    dc = engine.dist_to(cand, mode_vec)
-    d[rows] = engine.dist_to(states[rows], mode_vec)
+    dc = engine.dist_to(_unpack(cand, engine.ne), mode_vec)
+    d[rows] = engine.dist_to(_unpack(states[rows], engine.ne), mode_vec)
     acc = lu < -gamma * (phi(dc) - phi(d[rows]))
     states[rows[acc]] = cand[acc]
     d[rows[acc]] = dc[acc]
@@ -565,13 +589,16 @@ def snf_mh_matrix(
 
     The masks and log u of a block of steps (at most 4M mask entries) are
     drawn at once, and a chain whose mask is empty skips that step. The block
-    is held once, beside the chain-ordered prefix-XOR copy of its non-empty
-    masks (``_proposal_block``); the block is freed before the chains run and
-    the copy before the next block is drawn. Each chain then runs through
-    its own non-empty proposals, and one distance batch scores up to w of
-    every chain's next proposals along its accept path: candidate j is the
-    state XOR masks 1..j. A chain keeps every decision up to and including its
-    first rejection; the rows scored past it are discarded. So each decision
+    is held as bits, ceil(N_e / 64) uint64 words per mask, beside the
+    chain-ordered prefix XOR of its non-empty masks (``_proposal_block``):
+    16 bytes per mask at N = 15 and 160 at N = 50. The block is freed before
+    the chains run and the prefix XOR before the next block is drawn. The
+    chain states are held packed too; each distance batch unpacks only its
+    candidate rows. Each chain then runs through its own non-empty
+    proposals, and one distance batch scores up to w of every chain's next
+    proposals along its accept path: candidate j is the state XOR masks
+    1..j. A chain keeps every decision up to and including its first
+    rejection; the rows scored past it are discarded. So each decision
     sees the candidate, current state and log u of a step-by-step loop.
     w = round(1 / (1 - a)) for this call's running acceptance a, clamped to
     [1, W_MAX], and a batch holds at most ``engine.chunk`` rows.
@@ -601,16 +628,17 @@ def snf_mh_matrix(
         pick = np.searchsorted(cdf, rng.random(n_chains), side="right")
         return engine.states[pick], dvec[pick]
     if start is None:
-        states = np.tile(mode_vec, (n_chains, 1))
+        states = np.tile(_pack(mode_vec[None]), (n_chains, 1))
         d = np.zeros(n_chains)
     else:
-        states = start.copy()
-        d = engine.dist_to(states, mode_vec)
+        states = _pack(start)
+        d = engine.dist_to(start, mode_vec)
     phi = engine.metric.apply_phi
     taylor = engine.metric.kind == "diffusion"
-    # Bound the pregenerated proposal block to 4M mask entries: ~4 MB of uint8
-    # masks, whose uniforms stream through bernoulli_bits' 2 MiB buffer. The
-    # block length fixes the RNG order (masks, then log u, per block).
+    # Bound the pregenerated proposal block to 4M mask entries, held as bits
+    # (0.55-0.65 MB with word padding at N = 15-50), whose uniforms stream
+    # through a 2 MiB buffer. The block length fixes the RNG order (masks,
+    # then log u, per block).
     block = max(1, min(steps, (1 << 22) // max(1, n_chains * engine.ne)))
     tally = [0, 1]  # accepted, decided: this call's running acceptance, from 0
     done = 0
@@ -620,6 +648,7 @@ def snf_mh_matrix(
         _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, tally)
         del pre  # released before the next block is drawn
         done += m
+    states = _unpack(states, engine.ne)
     if taylor:
         exact = engine.dist_to(states, mode_vec)
         ex, ed = phi(exact), phi(d)
@@ -1143,10 +1172,8 @@ def posterior_summary(trace: Trace, level: float = 0.95) -> PosteriorSummary:
         (LabelledGraph(trace.n_vertices, bits), c / total) for bits, c in ordered
     )
     lo = (1.0 - level) / 2.0
-    interval = (
-        float(np.quantile(trace.params, lo)),
-        float(np.quantile(trace.params, 1.0 - lo)),
-    )
+    params = np.sort(trace.params)
+    interval = (float(_sorted_quantile(params, lo)), float(_sorted_quantile(params, 1.0 - lo)))
     return PosteriorSummary(freq[0][0], freq, float(trace.params.mean()), interval, level)
 
 

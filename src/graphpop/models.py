@@ -142,6 +142,27 @@ def _logsumexp(x: np.ndarray) -> float:
     return float(m + np.log(np.exp(x - m).sum()))
 
 
+def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
+    """``np.quantile(rows, q, axis=-1)`` of rows already sorted ascending.
+
+    ``rows`` is one sorted vector (the result is 0-d) or a matrix of them.
+    numpy's linear method: the level sits at position (N - 1)·q between the
+    entries a and b around it, and is read as a + (b - a)·t for a fraction
+    t < 0.5, else as b - (b - a)·(1 - t), so the values are the same bits.
+    ``np.quantile`` itself would load ``numpy.ma``, about 15 ms of start-up.
+    """
+    last = rows.shape[-1] - 1
+    pos = last * q
+    if pos >= last:
+        return rows[..., last].astype(np.float64)
+    lo = int(pos)
+    t = pos - lo
+    a = rows[..., lo].astype(np.float64)
+    b = rows[..., lo + 1].astype(np.float64)
+    d = b - a
+    return a + d * t if t < 0.5 else b - d * (1 - t)
+
+
 @lru_cache(maxsize=32)
 def _space_distance_table(n_vertices: int, kind: str, t: float) -> np.ndarray:
     """All pairwise raw distances over the enumerated space; read-only, cached."""
