@@ -27,6 +27,7 @@ import numpy as np
 # Loads on first use otherwise, inside a command's timed run: spawn_rng needs it.
 import numpy.random  # noqa: F401
 
+from . import metrics
 from .errors import (
     DomainError,
     EmptyTraceError,
@@ -37,7 +38,6 @@ from .errors import (
     StepTooLargeError,
 )
 from .graphs import (
-    BERNOULLI_BUFFER,
     GraphPopulation,
     LabelledGraph,
     bernoulli_bits,
@@ -360,10 +360,14 @@ class _MetricEngine:
     ``bits_to_vector(b, N_e)``. Distances are then table lookups, and
     ``snf_mh_matrix`` draws exactly from the SNF by one lookup. Above that,
     the last mode's heat kernel is memoised, and kernels are built in chunks of
-    rows so that no (rows, N, N) array exceeds 256 KiB: a Taylor batch keeps
-    about ten such arrays live. With 1 MiB arrays (52 rows at N = 50), the
-    accept-path batches of 10 chains stepped 1.2x slower than one batch per
-    step; with 256 KiB (13 rows) they step ~4% faster.
+    rows so that no (rows, N, N) array exceeds 256 KiB. With 1 MiB arrays (52
+    rows at N = 50), the accept-path batches of 10 chains stepped 1.2x slower
+    than one batch per step; with 256 KiB (13 rows) they step ~4% faster.
+    Taylor batches reuse one workspace for six (chunk, N, N) arrays
+    (``metrics.taylor_workspace``, 1.5 MiB), allocated at the engine's first
+    Taylor batch, so an engine is for one thread at a time. A batch uses
+    only the front of it, in proportion to its rows, so no more of its pages
+    are touched than the largest batch needs.
     """
 
     def __init__(self, metric: MetricSpec, n_vertices: int):
@@ -379,6 +383,7 @@ class _MetricEngine:
         self.chunk = max(1, (1 << 15) // max(1, n_vertices * n_vertices))
         self._mode_key: Optional[bytes] = None
         self._mode_kernel: Optional[np.ndarray] = None
+        self._work: Optional[np.ndarray] = None
 
     def row_bits(self, mat: np.ndarray) -> np.ndarray:
         return mat.astype(np.uint64) @ self.pow2
@@ -399,18 +404,29 @@ class _MetricEngine:
         """Raw distances from each row of ``mat`` to the mode.
 
         Diffusion distances take the rows' kernels from ``kernels`` (``heat_kernels``
-        or ``taylor_heat_kernels``) and the mode's from ``heat_kernel``.
+        or ``taylor_heat_kernels``) and the mode's from ``heat_kernel``. The
+        real ``taylor_heat_kernels`` writes into the engine's workspace, any
+        other ``kernels`` is called as ``(rows, N, t)``, and the kernels a call
+        returns are turned into distances in place.
         """
         if self.small:
             return self.table[vector_to_bits(mode_vec)][self.row_bits(mat)]
         if self.metric.kind == "hamming":
             return (mat != mode_vec).sum(axis=1).astype(np.float64)
         mode_kernel = self.mode_kernel(mode_vec)
+        n, t = self.n_vertices, self.metric.t
         out = np.empty(mat.shape[0])
         for lo in range(0, mat.shape[0], self.chunk):
             rows = mat[lo : lo + self.chunk]
-            diff = kernels(rows, self.n_vertices, self.metric.t) - mode_kernel
-            out[lo : lo + rows.shape[0]] = (diff * diff).reshape(rows.shape[0], -1).sum(axis=1)
+            if kernels is metrics.taylor_heat_kernels:
+                if self._work is None:
+                    self._work = metrics.taylor_workspace(self.chunk, n)
+                diff = kernels(rows, n, t, self._work)
+            else:
+                diff = kernels(rows, n, t)
+            diff -= mode_kernel
+            np.square(diff, out=diff)
+            diff.reshape(rows.shape[0], -1).sum(axis=1, out=out[lo : lo + rows.shape[0]])
         return out
 
 
@@ -420,8 +436,8 @@ class _MetricEngine:
 # so every decision outside the band is the one eigh distances would give.
 TAYLOR_BAND = 1e-9
 
-# Most proposals of one chain scored in one batch, along its accept path.
-W_MAX = 8
+# Mask entries per sub-chunk of a proposal block's draw (256 KiB of uniforms).
+MASK_CHUNK = 1 << 15
 
 
 def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, tally):
@@ -442,7 +458,7 @@ def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, ta
     live = np.flatnonzero(pos < ends)
     while live.size:
         accepted, decided = tally
-        w = min(W_MAX, round(decided / (decided - accepted)), engine.chunk // live.size)
+        w = min(round(decided / (decided - accepted)), engine.chunk // live.size)
         p = pos[live]
         if w <= 1:
             # One proposal per chain needs no grid or window; the window
@@ -527,32 +543,33 @@ def _proposal_block(rng, tau, m, n_chains, ne):
     """Draw ``m`` steps' flip masks for ``n_chains`` chains, then their log u.
 
     Returns ``_run_proposals``' (pre, lu, ends). The masks are drawn in
-    sub-chunks of whole steps of at most ``BERNOULLI_BUFFER`` entries (the
-    doubles, and their order, of one draw of the block) and each (step,
-    chain) mask is bit-packed as it is drawn (``_pack``), so a block's at most
-    4M mask entries are held as bits. Keep the sub-chunk at the buffer's 2 MiB:
-    freeing that much raises glibc's mmap threshold, which keeps
-    ``taylor_heat_kernels``' 256 KiB temporaries on the heap. With 2^15-entry
-    sub-chunks they were mapped afresh each time: a 20-graph diffusion
-    ``simulate`` at N = 15 took 94,139 minor page faults against 1,622, and
-    about 18% more time. A chain whose mask is empty proposes its own state,
-    which log u < 0 always accepts unchanged, so only the non-empty masks f
-    are kept, in chain order: pre[k] = f_0 ^ ... ^ f_{k-1}, and a chain at
-    proposal p in state s proposes s ^ pre[p] ^ pre[k + 1] at k on its path.
+    sub-chunks of whole steps of at most ``MASK_CHUNK`` entries (the doubles,
+    and their order, of one draw of the block) and each (step, chain) mask
+    is bit-packed as it is drawn (``_pack``), so a block's at most 4M mask
+    entries are held as bits. A chain whose mask is empty proposes its own
+    state, which log u < 0 always accepts unchanged, so only the non-empty
+    masks f are kept, in chain order: pre[k] = f_0 ^ ... ^ f_{k-1}, and a
+    chain at proposal p in state s proposes s ^ pre[p] ^ pre[k + 1] at k on
+    its path.
     """
     # Row step * n_chains + chain: the C order of the one draw of the block.
     packed = np.empty((m * n_chains, -(-ne // 64)), dtype=np.uint64)
-    sub = max(1, BERNOULLI_BUFFER // max(1, n_chains * ne))
+    sub = max(1, MASK_CHUNK // max(1, n_chains * ne))
     for lo in range(0, m, sub):
         hi = min(lo + sub, m)
         rows = (hi - lo) * n_chains
         packed[lo * n_chains : hi * n_chains] = _pack(bernoulli_bits(rng, tau, (rows, ne)))
-    logu = np.log(rng.random((m, n_chains)))
-    chain, step = np.nonzero(packed.any(axis=1).reshape(m, n_chains).T)
-    pre = np.zeros((step.size + 1, packed.shape[1]), dtype=np.uint64)
-    pre[1:] = packed[step * n_chains + chain]
+    logu = rng.random(m * n_chains)
+    np.log(logu, out=logu)
+    chain, rows = np.nonzero(packed.any(axis=1).reshape(m, n_chains).T)
+    rows *= n_chains
+    rows += chain  # row step * n_chains + chain of each non-empty mask, in chain order
+    pre = np.empty((rows.size + 1, packed.shape[1]), dtype=np.uint64)
+    pre[0] = 0
+    np.take(packed, rows, axis=0, out=pre[1:])
+    del packed
     np.bitwise_xor.accumulate(pre, axis=0, out=pre)
-    return pre, logu[step, chain], np.bincount(chain, minlength=n_chains).cumsum()
+    return pre, logu[rows], np.bincount(chain, minlength=n_chains).cumsum()
 
 
 def _decide_on_eigh(rows, cand, lu, states, d, mode_vec, gamma, engine):
@@ -600,15 +617,18 @@ def snf_mh_matrix(
     1..j. A chain keeps every decision up to and including its first
     rejection; the rows scored past it are discarded. So each decision
     sees the candidate, current state and log u of a step-by-step loop.
-    w = round(1 / (1 - a)) for this call's running acceptance a, clamped to
-    [1, W_MAX], and a batch holds at most ``engine.chunk`` rows.
+    w = round(1 / (1 - a)) for this call's running acceptance a, at most
+    ``engine.chunk`` // (live chains), so a batch holds at most
+    ``engine.chunk`` rows.
 
     Under the diffusion metric, batches score with ``taylor_heat_kernels``
     (scaling and squaring, within ~1e-14 per kernel entry of
-    ``heat_kernels``). A decision whose margin |-gamma (phi(d_c) - phi(d_s)) -
-    log u| is within gamma * TAYLOR_BAND * (1 + phi(d_c) + phi(d_s)) ends the
-    window before it; at the head of a window it is taken again on eigh
-    (``heat_kernels``) distances of both the proposal and the current state.
+    ``heat_kernels``) in the engine's reused workspace and become distances
+    in place, so a batch allocates no (rows, N, N) array. A decision whose
+    margin |-gamma (phi(d_c) - phi(d_s)) - log u| is within gamma *
+    TAYLOR_BAND * (1 + phi(d_c) + phi(d_s)) ends the window before it; at the
+    head of a window it is taken again on eigh (``heat_kernels``) distances
+    of both the proposal and the current state.
     The returned distances are recomputed through ``heat_kernels``, and
     ``InternalInconsistencyError`` is raised if any running distance is off by
     more than the band. So states and distances are bit-identical to a chain
@@ -637,7 +657,7 @@ def snf_mh_matrix(
     taylor = engine.metric.kind == "diffusion"
     # Bound the pregenerated proposal block to 4M mask entries, held as bits
     # (0.55-0.65 MB with word padding at N = 15-50), whose uniforms stream
-    # through a 2 MiB buffer. The block length fixes the RNG order (masks,
+    # through a 256 KiB buffer. The block length fixes the RNG order (masks,
     # then log u, per block).
     block = max(1, min(steps, (1 << 22) // max(1, n_chains * engine.ne)))
     tally = [0, 1]  # accepted, decided: this call's running acceptance, from 0

@@ -44,19 +44,24 @@ def _diagonals(stack: np.ndarray) -> np.ndarray:
     return stack.reshape(*stack.shape[:-2], n * n)[..., :: n + 1]
 
 
-def _laplacians(mat: np.ndarray, n_vertices: int) -> np.ndarray:
-    """Combinatorial Laplacians of every row of a (k, n_pairs) uint8 edge matrix, as (k, N, N)."""
+def _laplacians(mat: np.ndarray, n_vertices: int, out: np.ndarray | None = None) -> np.ndarray:
+    """Combinatorial Laplacians of every row of a (k, n_pairs) uint8 edge matrix, as (k, N, N).
+
+    They are written into ``out``, a C-contiguous (k, N, N) float64 array, if given.
+    """
     k, n = mat.shape[0], n_vertices
     ii, jj = pair_positions(n)
-    adj = np.zeros((k, n * n), dtype=np.float64)
+    lap = np.empty((k, n, n)) if out is None else out
+    lap.fill(0.0)
+    adj = lap.reshape(k, n * n)
     adj[:, ii * n + jj] = mat
     adj[:, jj * n + ii] = mat
-    adj = adj.reshape(k, n, n)
-    # Degrees go onto a zero matrix before subtracting, as in ``laplacian``:
-    # negating the adjacency would write -0.0 where it has 0.0 and change bits.
-    lap = np.zeros_like(adj)
-    _diagonals(lap)[...] = adj.sum(axis=2)
-    lap -= adj
+    deg = lap.sum(axis=2)
+    # The adjacency is subtracted from zero and the degrees written over the
+    # diagonal's zeros, as in ``laplacian``: negating it would write -0.0
+    # where ``laplacian`` has 0.0 and change bits.
+    np.subtract(0.0, lap, out=lap)
+    _diagonals(lap)[...] = deg
     return lap
 
 
@@ -75,44 +80,66 @@ def heat_kernels(mat: np.ndarray, n_vertices: int, t: float) -> np.ndarray:
     return 0.5 * (kernels + kernels.swapaxes(1, 2))
 
 
-# Degree-15 Taylor polynomial of exp, evaluated by Paterson-Stockmeyer as
-# P0 + X^4 (P1 + X^4 (P2 + X^4 P3)) with Pj = c[4j] I + c[4j+1] X + c[4j+2] X^2
-# + c[4j+3] X^3. After scaling, ||X||_1 <= 1/2, so the truncation error is at
-# most (1/2)^16 / 16! * e^(1/2) < 2e-18 in the 1-norm (Moler & Van Loan 2003).
-_TAYLOR_THETA = 0.5
-_TAYLOR_C = np.array([1.0 / factorial(i) for i in range(16)])
-_PS_POWERS = _TAYLOR_C.reshape(4, 4)[:, 1:].copy()  # coefficients of X, X^2, X^3 per block
-_PS_IDENTITY = _TAYLOR_C.reshape(4, 4)[:, 0].copy()  # coefficient of I per block
+# Degree-11 Taylor polynomial of exp, evaluated by Paterson-Stockmeyer as
+# P0 + X^4 (P1 + X^4 P2) with Pj = c[4j] I + c[4j+1] X + c[4j+2] X^2 +
+# c[4j+3] X^3. After scaling, ||X||_1 <= 1/4, so the truncation error is at
+# most (1/4)^12 / 12! * e^(1/4) < 2e-16 in the 1-norm (Moler & Van Loan 2003).
+# Against degree 15 at ||X||_1 <= 1/2 this takes one more squaring and one
+# product less, and the batch holds one (k, N, N) array less.
+_TAYLOR_THETA = 0.25
+_TAYLOR_C = np.array([1.0 / factorial(i) for i in range(12)])
+_PS_POWERS = _TAYLOR_C.reshape(3, 4)[:, 1:].copy()  # coefficients of X, X^2, X^3 per block
+_PS_IDENTITY = _TAYLOR_C.reshape(3, 4)[:, 0].copy()  # coefficient of I per block
+# (k, N, N) arrays a Taylor batch holds at once: X, X^2, X^3 and the three blocks.
+_TAYLOR_SLOTS = 6
 
 
-def taylor_heat_kernels(mat: np.ndarray, n_vertices: int, t: float) -> np.ndarray:
+def taylor_workspace(k: int, n_vertices: int) -> np.ndarray:
+    """A buffer that ``taylor_heat_kernels`` can reuse for batches of up to ``k`` rows."""
+    return np.empty(_TAYLOR_SLOTS * k * n_vertices * n_vertices)
+
+
+def taylor_heat_kernels(
+    mat: np.ndarray, n_vertices: int, t: float, work: np.ndarray | None = None
+) -> np.ndarray:
     """exp(-tL) for every row of a (k, n_pairs) uint8 edge matrix, by scaling and squaring.
 
     -tL is scaled by 2^-s with s chosen from the exact ||tL||_1 = 2t * (max
-    degree) so that its 1-norm is at most 1/2, a degree-15 Taylor polynomial
-    is evaluated with six batched products, and the result is squared s times.
+    degree) so that its 1-norm is at most 1/4, a degree-11 Taylor polynomial
+    is evaluated with five batched products, and the result is squared s times.
     It agrees with ``heat_kernels`` to ~1e-14 per entry but not bit for bit,
     so it is meant for decisions that ``heat_kernels`` can re-check.
+
+    Every (k, N, N) array of the call lives in ``work``, a buffer from
+    ``taylor_workspace`` for at least k rows (a fresh one if None), so a call
+    with a reused buffer allocates no such array. The result is a
+    C-contiguous view into the buffer, valid until the buffer is next used.
     """
-    lap = _laplacians(mat, n_vertices)
-    k, n = lap.shape[0], n_vertices
-    norm = 2.0 * t * _diagonals(lap).max(initial=0.0)
+    k, n = mat.shape[0], n_vertices
+    if work is None:
+        work = taylor_workspace(k, n)
+    slots = work[: _TAYLOR_SLOTS * k * n * n].reshape(_TAYLOR_SLOTS, k, n, n)
+    powers, blocks = slots[:3], slots[3:]
+    x = _laplacians(mat, n, out=powers[0])
+    norm = 2.0 * t * _diagonals(x).max(initial=0.0)
     s = max(0, ceil(log2(norm / _TAYLOR_THETA))) if norm > 0.0 else 0
-    powers = np.empty((3, k, n, n))
-    np.multiply(lap, -t / 2.0**s, out=powers[0])
-    np.matmul(powers[0], powers[0], out=powers[1])
-    np.matmul(powers[1], powers[0], out=powers[2])
-    x4 = powers[1] @ powers[1]
-    blocks = (_PS_POWERS @ powers.reshape(3, -1)).reshape(4, k, n, n)
-    diag = _diagonals(blocks)
-    diag += _PS_IDENTITY[:, None, None]
-    out = blocks[3]
-    for j in (2, 1, 0):
-        out = out @ x4
-        out += blocks[j]
+    np.multiply(x, -t / 2.0**s, out=x)
+    np.matmul(x, x, out=powers[1])
+    np.matmul(powers[1], x, out=powers[2])
+    np.matmul(_PS_POWERS, powers.reshape(3, -1), out=blocks.reshape(3, -1))
+    _diagonals(blocks)[...] += _PS_IDENTITY[:, None, None]
+    # The blocks hold all that X and X^3 were needed for: X^4 takes X's slot,
+    # and the Horner steps and squarings alternate between the other two.
+    x4 = np.matmul(powers[1], powers[1], out=powers[0])
+    a, b = powers[1], powers[2]
+    np.matmul(blocks[2], x4, out=b)
+    b += blocks[1]
+    np.matmul(b, x4, out=a)
+    a += blocks[0]
     for _ in range(s):
-        out = out @ out
-    return out
+        np.matmul(a, a, out=b)
+        a, b = b, a
+    return a
 
 
 @lru_cache(maxsize=4096)

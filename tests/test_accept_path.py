@@ -1,10 +1,11 @@
 """Accept-path batches in ``snf_mh_matrix``.
 
 Each chain runs through its own non-empty proposals, and one distance batch
-scores up to ``W_MAX`` of a chain's next proposals along the path on which it
-accepts them all. Every decision must still see the candidate, current state
-and log u of the sequential step loop, so states and distances must equal the
-reference loop's bit for bit, while the kernel is called far less often.
+scores up to w of a chain's next proposals along the path on which it accepts
+them all, w set by the running acceptance and the engine's chunk of rows.
+Every decision must still see the candidate, current state and log u of the
+sequential step loop, so states and distances must equal the reference
+loop's bit for bit, while the kernel is called far less often.
 """
 
 import numpy as np
@@ -68,21 +69,26 @@ class TestEqualsSequentialLoop:
         assert d.max() > 0
         _assert_same((states, d), ref)
 
-    def test_hamming_across_gather_chunks(self, monkeypatch):
-        # A block's non-empty masks are gathered into the prefix buffer in
-        # chunks of 256 KiB: 8192 rows of 28 pairs, padded to 32 bytes.
-        sizes = []
-        real = inference._proposal_block
+    def test_hamming_across_mask_sub_chunks(self, monkeypatch):
+        # One block of 1000 steps, its masks drawn in sub-chunks of whole
+        # steps of at most MASK_CHUNK entries: 58 steps of 20 chains * 28 pairs.
+        blocks, draws = [], []
+        real_block, real_bits = inference._proposal_block, inference.bernoulli_bits
 
-        def spy(*args):
-            pre, lu, ends = real(*args)
-            sizes.append(lu.size)
-            return pre, lu, ends
+        def block(rng, tau, m, *args):
+            blocks.append(m)
+            return real_block(rng, tau, m, *args)
 
-        monkeypatch.setattr(inference, "_proposal_block", spy)
+        def bits(rng, p, shape):
+            draws.append(shape[0] * shape[1])
+            return real_bits(rng, p, shape)
+
+        monkeypatch.setattr(inference, "_proposal_block", block)
+        monkeypatch.setattr(inference, "bernoulli_bits", bits)
         metric = MetricSpec(kind="hamming")
         (states, d), ref = _run_both(metric, 8, 1.0, 20, 1000, 65, False)
-        assert len(sizes) == 1 and sizes[0] > (1 << 18) // 32
+        assert blocks == [1000]
+        assert len(draws) == 18 and max(draws) <= inference.MASK_CHUNK
         assert d.max() > 0
         _assert_same((states, d), ref)
 

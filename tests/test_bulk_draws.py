@@ -15,10 +15,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import random_graph
-from graphpop import graphs
+from graphpop import graphs, inference
 from graphpop.graphs import bernoulli_bits, n_pairs
 from graphpop.inference import _MetricEngine, snf_mh_matrix
-from graphpop.metrics import MetricSpec
+from graphpop.metrics import MetricSpec, taylor_workspace
 from graphpop.models import CerParams, cer_sample_matrix
 
 MIB = 1 << 20
@@ -115,8 +115,10 @@ def test_snf_inner_chains_peak_below_16_mib_under_hamming():
     ids=["hamming-n50", "diffusion-n15"],
 )
 def test_snf_inner_chains_hold_one_proposal_block(metric, n_vertices, steps):
-    # A block is held once, beside the prefix-XOR copy of its non-empty masks
-    # (~63% of it at tau = 1/N_e), and is freed before the next block is drawn.
+    # A block is held once, bit-packed, beside the prefix XOR of its non-empty
+    # masks (~63% of it at tau = 1/N_e), and is freed before the chains run.
+    # While it is drawn, its masks stream through one sub-chunk; while the
+    # chains run, a diffusion engine adds its Taylor workspace.
     rng = np.random.default_rng(4)
     engine = _MetricEngine(metric, n_vertices)
     mode = random_graph(n_vertices, rng, p=0.1).to_vector()
@@ -126,5 +128,16 @@ def test_snf_inner_chains_hold_one_proposal_block(metric, n_vertices, steps):
     )
     assert states.shape == (n_chains, engine.ne) and d.shape == (n_chains,)
     # Three blocks of 342 steps at N = 50, one of 2100 steps at N = 15.
-    block_steps = min(steps, (1 << 22) // (n_chains * engine.ne))
-    assert peak <= 1.75 * block_steps * n_chains * engine.ne + 2 * MIB
+    masks = min(steps, (1 << 22) // (n_chains * engine.ne)) * n_chains
+    packed = masks * -(-engine.ne // 64) * 8
+    prefix = packed + packed // masks  # every mask non-empty, after a zero row
+    log_u = 8 * masks
+    index = 2 * 8 * masks  # chain and row of each non-empty mask
+    sub_chunk = 9 * inference.MASK_CHUNK  # its uniforms and bits
+    workspace = 0
+    if metric.kind == "diffusion":
+        workspace = taylor_workspace(engine.chunk, n_vertices).nbytes
+    drawing = packed + prefix + log_u + index + sub_chunk
+    running = prefix + log_u + workspace
+    # A uint8 block (1 byte a mask entry) or a 2 MiB uniform buffer exceeds this.
+    assert peak <= max(drawing, running) + MIB // 4

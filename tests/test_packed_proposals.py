@@ -70,7 +70,8 @@ def test_zero_chains_draw_nothing(kind):
 )
 def test_inner_chains_peak_below_4_mib(metric, n_vertices, n_chains, steps):
     # Unpacked, a block of 4M uint8 masks beside its prefix XOR peaked at 6.9
-    # and 7.8 MiB; as bits the peak is mostly the 2 MiB uniform buffer.
+    # and 7.8 MiB; as bits the peak is the block and, under diffusion, the
+    # Taylor workspace.
     rng = np.random.default_rng(4)
     engine = _MetricEngine(metric, n_vertices)
     mode = random_graph(n_vertices, rng, p=0.1).to_vector()

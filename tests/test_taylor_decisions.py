@@ -6,6 +6,8 @@ eigh kernels, so its states and distances must stay those of the eigh-only
 reference step loop.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -87,6 +89,27 @@ class TestMetricEngine:
         whole = engine.dist_to(mat, mode_vec)
         engine.chunk = 2
         assert np.array_equal(engine.dist_to(mat, mode_vec), whole)
+
+    @pytest.mark.parametrize("n", [15, 50])
+    def test_taylor_batches_allocate_no_kernel_stack(self, n):
+        # Once warmed up, a batch of a chunk of rows is scored in the engine's
+        # workspace and turned into distances in place, bit for bit as the
+        # kernel's own fresh arrays would give.
+        engine = _MetricEngine(MetricSpec(kind="diffusion", t=1.0), n)
+        rng = spawn_rng(42)
+        mode_vec = random_graph(n, rng, p=0.1).to_vector()
+        rows = _edge_matrix(rng, engine.chunk, n, 0.1)
+        fresh = engine.dist_to(rows, mode_vec, lambda m, n_, t: taylor_heat_kernels(m, n_, t))
+        engine.dist_to(rows, mode_vec, taylor_heat_kernels)
+        tracemalloc.start()
+        try:
+            for _ in range(10):
+                got = engine.dist_to(rows, mode_vec, taylor_heat_kernels)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(got, fresh)
+        assert peak < engine.chunk * n * n * 8  # one (k, N, N) float64 array
 
     @pytest.mark.parametrize(
         "metric, n",
