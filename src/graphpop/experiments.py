@@ -35,6 +35,7 @@ from .graphs import (
     GeneratorSpec,
     GraphPopulation,
     LabelledGraph,
+    edge_matrix,
     majority_vote,
     n_pairs,
     sample_generator,
@@ -54,7 +55,7 @@ from .inference import (
     snf_mh_matrix,
     spawn_rng,
 )
-from .metrics import MetricSpec
+from .metrics import MetricSpec, cross_distances
 from .models import CerParams, SnfParams, _sorted_quantile
 
 
@@ -173,6 +174,12 @@ def _model_metric(cfg: StudyConfig) -> MetricSpec:
     return MetricSpec(kind="hamming") if cfg.model == "cer" else cfg.metric
 
 
+def _distances_to(cfg: StudyConfig, graphs: Sequence[LabelledGraph], g: LabelledGraph):
+    """Raw distances under the model's metric from each of ``graphs`` to ``g``."""
+    mat = edge_matrix(graphs, n_pairs(cfg.n_vertices))
+    return cross_distances(g.to_vector()[None], mat, _model_metric(cfg), cfg.n_vertices)[0]
+
+
 def _run_replicates(cfg: StudyConfig, worker, tasks: Sequence) -> list:
     """``worker(cfg, task)`` for each task, in task order.
 
@@ -214,11 +221,10 @@ def binomial_ci_half_width(fraction: float, count: int) -> float:
 
 def _concentration_replicate(cfg: StudyConfig, task: tuple[int, int]):
     truth, _, trace = _fit_replicate(cfg, *task)
-    metric = _model_metric(cfg)
-    dists = np.array([metric.distance(g, truth) for g in trace.graphs])
-    inside = {eps: float((dists <= eps).mean()) >= 1.0 - cfg.delta for eps in cfg.epsilons}
-    mode_est = posterior_summary(trace).mode_graph
-    return inside, metric.distance(mode_est, truth)
+    graphs = [*trace.graphs, posterior_summary(trace).mode_graph]
+    dists = _distances_to(cfg, graphs, truth)
+    inside = {eps: float((dists[:-1] <= eps).mean()) >= 1.0 - cfg.delta for eps in cfg.epsilons}
+    return inside, float(dists[-1])
 
 
 def concentration_study(cfg: StudyConfig) -> list[dict]:
@@ -253,10 +259,9 @@ def concentration_study(cfg: StudyConfig) -> list[dict]:
 
 def _comparison_replicate(cfg: StudyConfig, task: tuple[int, int]):
     truth, pop, trace = _fit_replicate(cfg, *task)
-    metric = _model_metric(cfg)
-    d_model = metric.distance(posterior_summary(trace).mode_graph, truth)
-    d_mv = metric.distance(majority_vote(pop), truth)
-    return d_model, d_mv
+    mode_est = posterior_summary(trace).mode_graph
+    d_model, d_mv = _distances_to(cfg, [mode_est, majority_vote(pop)], truth)
+    return float(d_model), float(d_mv)
 
 
 def majority_vote_comparison(cfg: StudyConfig) -> list[dict]:
@@ -338,11 +343,10 @@ def model_contour_radius(cfg: StudyConfig, truth: LabelledGraph, rng) -> float:
 
 
 def _prediction_replicate(cfg: StudyConfig, r: int) -> dict[int, PredictionResult]:
-    metric = _model_metric(cfg)
     max_n = max(cfg.sample_sizes)
     rng = spawn_rng(derive_seed(cfg.seed, r))
     truth, g0, full = _simulate_truth_and_data(cfg, max_n + cfg.test_size, rng)
-    test = full.graphs[max_n:]
+    test = full.to_matrix()[max_n:]
     rho = model_contour_radius(cfg, truth, rng)
     if rho == 0.0:
         raise DomainError(
@@ -357,8 +361,8 @@ def _prediction_replicate(cfg: StudyConfig, r: int) -> dict[int, PredictionResul
         pred_rng = spawn_rng(derive_seed(cfg.seed, r, n, 2))
         idx = pred_rng.integers(len(trace), size=cfg.n_predictive)
         draws = predictive_draws(trace, idx, partial(_model_params, cfg), 1, pred_rng, cfg.mcmc)
-        preds = (LabelledGraph.from_vector(cfg.n_vertices, d[0]) for d in draws)
-        minima = np.array([min(metric.distance(p, t) for t in test) for p in preds])
+        preds = np.stack([d[0] for d in draws])
+        minima = cross_distances(preds, test, _model_metric(cfg), cfg.n_vertices).min(axis=1)
         psi = float(_sorted_quantile(np.sort(minima), 1.0 - cfg.delta))
         out[n] = PredictionResult(psi, rho)
     return out

@@ -46,7 +46,7 @@ from .graphs import (
     n_pairs,
     vector_to_bits,
 )
-from .metrics import MetricSpec, heat_kernel, heat_kernels, taylor_heat_kernels
+from .metrics import MetricSpec, heat_kernels, taylor_heat_kernels
 from .models import (
     CerParams,
     SnfParams,
@@ -359,10 +359,11 @@ class _MetricEngine:
     space and the space itself as a (2^N_e, N_e) uint8 matrix whose row b is
     ``bits_to_vector(b, N_e)``. Distances are then table lookups, and
     ``snf_mh_matrix`` draws exactly from the SNF by one lookup. Above that,
-    the last mode's heat kernel is memoised, and kernels are built in chunks of
-    rows so that no (rows, N, N) array exceeds 256 KiB. With 1 MiB arrays (52
-    rows at N = 50), the accept-path batches of 10 chains stepped 1.2x slower
-    than one batch per step; with 256 KiB (13 rows) they step ~4% faster.
+    the engine memoises its last mode's kernel (from ``heat_kernels``, not the
+    public ``heat_kernel``'s cache) and builds kernels in chunks of rows so
+    that no (rows, N, N) array exceeds 256 KiB. With 1 MiB arrays (52 rows at
+    N = 50), the accept-path batches of 10 chains stepped 1.2x slower than
+    one batch per step; with 256 KiB (13 rows) they step ~4% faster.
     Taylor batches reuse one workspace for six (chunk, N, N) arrays
     (``metrics.taylor_workspace``, 1.5 MiB), allocated at the engine's first
     Taylor batch, so an engine is for one thread at a time. A batch uses
@@ -389,12 +390,10 @@ class _MetricEngine:
         return mat.astype(np.uint64) @ self.pow2
 
     def mode_kernel(self, mode_vec: np.ndarray) -> np.ndarray:
-        """``heat_kernel`` of the mode, recomputed only when the mode vector changes."""
+        """The mode's heat kernel, recomputed only when the mode vector changes."""
         key = mode_vec.tobytes()
         if key != self._mode_key:
-            self._mode_kernel = heat_kernel(
-                LabelledGraph(self.n_vertices, vector_to_bits(mode_vec)), self.metric.t
-            )
+            self._mode_kernel = heat_kernels(mode_vec[None], self.n_vertices, self.metric.t)[0]
             self._mode_key = key
         return self._mode_kernel
 
@@ -404,7 +403,7 @@ class _MetricEngine:
         """Raw distances from each row of ``mat`` to the mode.
 
         Diffusion distances take the rows' kernels from ``kernels`` (``heat_kernels``
-        or ``taylor_heat_kernels``) and the mode's from ``heat_kernel``. The
+        or ``taylor_heat_kernels``) and the mode's from ``mode_kernel``. The
         real ``taylor_heat_kernels`` writes into the engine's workspace, any
         other ``kernels`` is called as ``(rows, N, t)``, and the kernels a call
         returns are turned into distances in place.
@@ -424,9 +423,7 @@ class _MetricEngine:
                 diff = kernels(rows, n, t, self._work)
             else:
                 diff = kernels(rows, n, t)
-            diff -= mode_kernel
-            np.square(diff, out=diff)
-            diff.reshape(rows.shape[0], -1).sum(axis=1, out=out[lo : lo + rows.shape[0]])
+            metrics._kernel_distances(diff, mode_kernel, diff, out[lo : lo + rows.shape[0]])
         return out
 
 

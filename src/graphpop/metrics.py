@@ -227,16 +227,43 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
+def _kernel_distances(kernels, kernel, work, out) -> None:
+    """out[i] = squared Frobenius norm of kernels[i] - kernel, as ``diffusion_distance`` sums it.
+
+    ``work``, C-contiguous and shaped like the (k, N, N) ``kernels``, may be ``kernels`` itself.
+    """
+    np.subtract(kernels, kernel, out=work)
+    np.square(work, out=work)
+    work.reshape(work.shape[0], -1).sum(axis=1, out=out)
+
+
+def cross_distances(
+    rows: np.ndarray, others: np.ndarray, metric: MetricSpec, n_vertices: int
+) -> np.ndarray:
+    """(k, m) raw distances between rows of (k, n_pairs) and (m, n_pairs) uint8 edge matrices.
+
+    Entry (i, j) is ``metric.distance`` of graphs ``rows[i]`` and ``others[j]``, bit for bit.
+    Under diffusion each side is one ``heat_kernels`` stack (one in all if ``rows is others``),
+    held only during the call.
+    """
+    out = np.empty((rows.shape[0], others.shape[0]))
+    if metric.kind == "hamming":
+        packed = np.packbits(others, axis=1)
+        for i, row in enumerate(np.packbits(rows, axis=1)):
+            out[i] = np.bitwise_count(packed ^ row).sum(axis=1)
+        return out
+    kernels = heat_kernels(others, n_vertices, metric.t)
+    row_kernels = kernels if rows is others else heat_kernels(rows, n_vertices, metric.t)
+    work = np.empty_like(kernels)
+    for i, kernel in enumerate(row_kernels):
+        _kernel_distances(kernels, kernel, work, out[i])
+    return out
+
+
 def distance_matrix(pop: GraphPopulation, metric: MetricSpec) -> DistanceMatrix:
-    """All pairwise raw distances d_G (phi not applied), one evaluation per pair."""
-    n = len(pop)
-    out = np.zeros((n, n), dtype=np.float64)
-    for i in range(n):
-        for j in range(i + 1, n):
-            d = metric.distance(pop[i], pop[j])
-            out[i, j] = d
-            out[j, i] = d
-    return DistanceMatrix(out, ids=pop.ids)
+    """All pairwise raw distances d_G (phi not applied)."""
+    mat = pop.to_matrix()
+    return DistanceMatrix(cross_distances(mat, mat, metric, pop.n_vertices), ids=pop.ids)
 
 
 def classical_mds(dmat: DistanceMatrix, dim: int) -> np.ndarray:

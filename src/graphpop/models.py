@@ -24,7 +24,7 @@ from .errors import (
     SpaceTooLargeError,
 )
 from .graphs import GraphPopulation, LabelledGraph, bernoulli_bits, enumerate_graph_space, n_pairs
-from .metrics import MetricSpec, hamming, heat_kernels
+from .metrics import MetricSpec, cross_distances, hamming
 
 
 @dataclass(frozen=True)
@@ -166,18 +166,8 @@ def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _space_distance_table(n_vertices: int, kind: str, t: float) -> np.ndarray:
     """All pairwise raw distances over the enumerated space; read-only, cached."""
-    space = enumerate_graph_space(n_vertices)
-    size = len(space)
-    if kind == "hamming":
-        bits = np.arange(size, dtype=np.uint64)
-        table = np.bitwise_count(bits[:, None] ^ bits[None, :]).astype(np.float64)
-    else:
-        mat = GraphPopulation(space).to_matrix()
-        flat = heat_kernels(mat, n_vertices, t).reshape(size, -1)
-        table = np.zeros((size, size), dtype=np.float64)
-        for b in range(size):
-            diff = flat - flat[b]
-            table[b] = (diff * diff).sum(axis=1)
+    mat = GraphPopulation(enumerate_graph_space(n_vertices)).to_matrix()
+    table = cross_distances(mat, mat, MetricSpec(kind, t=t), n_vertices)
     table.flags.writeable = False
     return table
 
@@ -277,10 +267,12 @@ def sample_frechet_mean(
         objective = (table[data_rows] ** 2).sum(axis=0)
         space = enumerate_graph_space(n)
         return space[_lexicographic_argmin(objective)]
-    cand = sorted(candidates, key=lambda g: g.edge_bits)
-    objective = np.array(
-        [sum(metric.distance(g, c) ** 2 for g in pop) for c in cand]
-    )
+    cand = GraphPopulation(tuple(sorted(candidates, key=lambda g: g.edge_bits)))
+    if cand.n_vertices != n:
+        raise SizeMismatchError(n, cand.n_vertices)
+    dists = cross_distances(cand.to_matrix(), pop.to_matrix(), metric, n)
+    # Python floats summed in data order: the bits of the per-pair sum.
+    objective = np.array([sum(d**2 for d in row) for row in dists.tolist()])
     return cand[_lexicographic_argmin(objective)]
 
 
@@ -294,4 +286,7 @@ def frechet_mean_of_distribution(dist: ExactDistribution, metric: MetricSpec) ->
 
 def frechet_objective(pop: GraphPopulation, metric: MetricSpec, candidate: LabelledGraph) -> float:
     """The sum of squared distances minimized by the sample Frechet mean."""
-    return float(sum(metric.distance(g, candidate) ** 2 for g in pop))
+    if candidate.n_vertices != pop.n_vertices:
+        raise SizeMismatchError(pop.n_vertices, candidate.n_vertices)
+    dists = cross_distances(candidate.to_vector()[None], pop.to_matrix(), metric, pop.n_vertices)
+    return float(sum(d**2 for d in dists[0].tolist()))
