@@ -45,6 +45,7 @@ from .experiments import (
     robustness_study,
 )
 from .graphs import (
+    MAX_ENUMERABLE_VERTICES,
     ErdosRenyi,
     LabelledGraph,
     RandomGeometric,
@@ -275,7 +276,7 @@ def _cmd_frechet(args) -> int:
     metric = MetricSpec(kind=args.metric, t=args.t)
     out = gio.ensure_dir(args.out)
     started = _now()
-    if pop.n_vertices <= 5:
+    if pop.n_vertices <= MAX_ENUMERABLE_VERTICES:
         mean = sample_frechet_mean(pop, metric)
     else:
         # Restricted search: the data plus the majority vote as candidates.

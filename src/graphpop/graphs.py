@@ -3,7 +3,8 @@
 Edge bit ``p`` corresponds to the vertex pair ``(i, j)``, ``0 <= i < j < N``, in
 row-major order over the strict upper triangle, so Hamming distances are XOR
 popcounts and the space of all graphs on N vertices is the integer range
-``[0, 2^{N(N-1)/2})``.
+``[0, 2^{N(N-1)/2})``. Only this module maps edge vectors to bits (rows of
+uint64 words: ``_pack``) and decides which spaces can be enumerated (``space_matrix``).
 """
 
 from __future__ import annotations
@@ -170,14 +171,28 @@ def edge_matrix(graphs: Sequence[LabelledGraph], length: int) -> np.ndarray:
     """
     width = (length + 7) // 8
     raw = b"".join(g.edge_bits.to_bytes(width, "little") for g in graphs)
-    bits = np.unpackbits(np.frombuffer(raw, dtype=np.uint8), bitorder="little")
-    return np.ascontiguousarray(bits.reshape(len(graphs), 8 * width)[:, :length])
+    return _unpack(np.frombuffer(raw, dtype=np.uint8).reshape(len(graphs), width), length)
 
 
 def vector_to_bits(vec: np.ndarray) -> int:
     """Bit-set whose bit p is set iff entry p of ``vec`` is nonzero."""
     packed = np.packbits(np.asarray(vec) != 0, bitorder="little")
     return int.from_bytes(packed.tobytes(), "little")
+
+
+def _pack(rows: np.ndarray) -> np.ndarray:
+    """Uint8 edge rows packed as ceil(N_e / 64) uint64 words per row, zero-padded.
+
+    Entry p is bit p % 64 of little-endian word p // 64: the ``edge_bits`` layout.
+    """
+    out = np.zeros((rows.shape[0], -(-rows.shape[1] // 64)), dtype=np.uint64)
+    out.view(np.uint8)[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
+    return out
+
+
+def _unpack(words: np.ndarray, ne: int) -> np.ndarray:
+    """The (rows, ne) uint8 edge rows of C-contiguous packed rows ``words`` (words or bytes)."""
+    return np.unpackbits(words.view(np.uint8), axis=1, count=ne, bitorder="little")
 
 
 def from_adjacency(matrix) -> LabelledGraph:
@@ -205,11 +220,20 @@ def from_adjacency(matrix) -> LabelledGraph:
 
 def enumerate_graph_space(n_vertices: int) -> list[LabelledGraph]:
     """All 2^{N(N-1)/2} labelled graphs on N vertices, in increasing bit-set order."""
+    return [LabelledGraph(n_vertices, bits) for bits in range(len(space_matrix(n_vertices)))]
+
+
+@lru_cache(maxsize=None)
+def space_matrix(n_vertices: int) -> np.ndarray:
+    """The space as (2^N_e, N_e) uint8 rows, row b ``bits_to_vector(b, N_e)``; read-only, cached."""
     if n_vertices < 1:
         raise ValueError("a graph needs at least one vertex")
     if n_vertices > MAX_ENUMERABLE_VERTICES:
         raise SpaceTooLargeError(n_vertices, MAX_ENUMERABLE_VERTICES)
-    return [LabelledGraph(n_vertices, bits) for bits in range(1 << n_pairs(n_vertices))]
+    ne = n_pairs(n_vertices)
+    mat = _unpack(np.arange(1 << ne, dtype=np.uint64)[:, None], ne)
+    mat.flags.writeable = False
+    return mat
 
 
 @dataclass(frozen=True)

@@ -38,12 +38,16 @@ from .errors import (
     StepTooLargeError,
 )
 from .graphs import (
+    MAX_ENUMERABLE_VERTICES,
     GraphPopulation,
     LabelledGraph,
+    _pack,
+    _unpack,
     bernoulli_bits,
     enumerate_graph_space,
     majority_vote,
     n_pairs,
+    space_matrix,
     vector_to_bits,
 )
 from .metrics import MetricSpec, heat_kernels, taylor_heat_kernels
@@ -355,13 +359,13 @@ def _bounded_indices(bit_generator: np.random.BitGenerator, k: int) -> Iterator[
 class _MetricEngine:
     """Raw-distance computations between uint8 edge matrices and a mode vector.
 
-    For N <= 5 the engine holds the full pairwise table over the enumerated
-    space and the space itself as a (2^N_e, N_e) uint8 matrix whose row b is
-    ``bits_to_vector(b, N_e)``. Distances are then table lookups, and
+    For N <= 5 the engine shares the cached pairwise table over the enumerated
+    space and the space itself (``graphs.space_matrix``, row b is
+    ``bits_to_vector(b, N_e)``). Distances are then table lookups, and
     ``snf_mh_matrix`` draws exactly from the SNF by one lookup. Above that,
     the engine memoises its last mode's kernel (from ``heat_kernels``, not the
-    public ``heat_kernel``'s cache) and builds kernels in chunks of rows so
-    that no (rows, N, N) array exceeds 256 KiB. With 1 MiB arrays (52 rows at
+    public ``heat_kernel``'s cache) and builds kernels in ``metrics.kernel_chunk``
+    rows so that no (rows, N, N) array exceeds 256 KiB. With 1 MiB arrays (52 rows at
     N = 50), the accept-path batches of 10 chains stepped 1.2x slower than
     one batch per step; with 256 KiB (13 rows) they step ~4% faster.
     Taylor batches reuse one workspace for six (chunk, N, N) arrays
@@ -375,13 +379,12 @@ class _MetricEngine:
         self.metric = metric
         self.n_vertices = n_vertices
         self.ne = n_pairs(n_vertices)
-        self.small = n_vertices <= 5
+        self.small = n_vertices <= MAX_ENUMERABLE_VERTICES
         if self.small:
             self.table = _space_distance_table(n_vertices, metric.kind, metric.t)
             self.pow2 = 1 << np.arange(self.ne, dtype=np.uint64)
-            bits = np.arange(1 << self.ne)[:, None] >> np.arange(self.ne)
-            self.states = (bits & 1).astype(np.uint8)
-        self.chunk = max(1, (1 << 15) // max(1, n_vertices * n_vertices))
+            self.states = space_matrix(n_vertices)
+        self.chunk = metrics.kernel_chunk(n_vertices)
         self._mode_key: Optional[bytes] = None
         self._mode_kernel: Optional[np.ndarray] = None
         self._work: Optional[np.ndarray] = None
@@ -518,22 +521,6 @@ def _run_proposals(states, d, pre, lu, ends, mode_vec, gamma, engine, taylor, ta
             tally[1] += int(step.sum())
             pos[live] += step
         live = live[pos[live] < ends[live]]
-
-
-def _pack(rows: np.ndarray) -> np.ndarray:
-    """Bit-packed copy of uint8 edge rows: ceil(N_e / 64) uint64 words per row.
-
-    Bit p of a row (bit p % 64 of little-endian word p // 64) is entry p, the
-    layout of ``LabelledGraph.edge_bits``; the padding bits are 0.
-    """
-    out = np.zeros((rows.shape[0], -(-rows.shape[1] // 64)), dtype=np.uint64)
-    out.view(np.uint8)[:, : -(-rows.shape[1] // 8)] = np.packbits(rows, axis=1, bitorder="little")
-    return out
-
-
-def _unpack(words: np.ndarray, ne: int) -> np.ndarray:
-    """The (rows, ne) uint8 edge rows of C-contiguous packed rows ``words``."""
-    return np.unpackbits(words.view(np.uint8), axis=1, count=ne, bitorder="little")
 
 
 def _proposal_block(rng, tau, m, n_chains, ne):

@@ -19,6 +19,7 @@ from .errors import EigDecompositionFailureError, SizeMismatchError
 from .graphs import (
     GraphPopulation,
     LabelledGraph,
+    _pack,
     bits_to_vector,
     n_pairs,
     pair_positions,
@@ -227,6 +228,11 @@ class DistanceMatrix:
         return self.values.shape[0]
 
 
+def kernel_chunk(n_vertices: int) -> int:
+    """Rows per stack of (rows, N, N) float64 kernels that keeps it within 256 KiB (at least 1)."""
+    return max(1, (1 << 15) // max(1, n_vertices * n_vertices))
+
+
 def _kernel_distances(kernels, kernel, work, out) -> None:
     """out[i] = squared Frobenius norm of kernels[i] - kernel, as ``diffusion_distance`` sums it.
 
@@ -243,20 +249,23 @@ def cross_distances(
     """(k, m) raw distances between rows of (k, n_pairs) and (m, n_pairs) uint8 edge matrices.
 
     Entry (i, j) is ``metric.distance`` of graphs ``rows[i]`` and ``others[j]``, bit for bit.
-    Under diffusion each side is one ``heat_kernels`` stack (one in all if ``rows is others``),
-    held only during the call.
+    Hamming counts are popcounts of XORed ``graphs._pack`` words. Under diffusion ``rows`` is one
+    ``heat_kernels`` stack and ``others`` is scored in 256 KiB stacks (``kernel_chunk``);
+    if ``rows is others``, one stack of all rows serves both sides.
     """
     out = np.empty((rows.shape[0], others.shape[0]))
     if metric.kind == "hamming":
-        packed = np.packbits(others, axis=1)
-        for i, row in enumerate(np.packbits(rows, axis=1)):
+        packed = _pack(others)
+        for i, row in enumerate(_pack(rows)):
             out[i] = np.bitwise_count(packed ^ row).sum(axis=1)
         return out
-    kernels = heat_kernels(others, n_vertices, metric.t)
-    row_kernels = kernels if rows is others else heat_kernels(rows, n_vertices, metric.t)
-    work = np.empty_like(kernels)
-    for i, kernel in enumerate(row_kernels):
-        _kernel_distances(kernels, kernel, work, out[i])
+    row_kernels = None if rows is others else heat_kernels(rows, n_vertices, metric.t)
+    step = max(1, others.shape[0] if rows is others else kernel_chunk(n_vertices))
+    for lo in range(0, others.shape[0], step):
+        kernels = heat_kernels(others[lo : lo + step], n_vertices, metric.t)
+        work = np.empty_like(kernels)
+        for i, kernel in enumerate(kernels if row_kernels is None else row_kernels):
+            _kernel_distances(kernels, kernel, work, out[i, lo : lo + step])
     return out
 
 

@@ -16,14 +16,9 @@ from math import comb, exp, log
 
 import numpy as np
 
-from .errors import (
-    DomainError,
-    EmptyPopulationError,
-    InternalInconsistencyError,
-    SizeMismatchError,
-    SpaceTooLargeError,
-)
-from .graphs import GraphPopulation, LabelledGraph, bernoulli_bits, enumerate_graph_space, n_pairs
+from .errors import DomainError, EmptyPopulationError, InternalInconsistencyError, SizeMismatchError
+from .graphs import GraphPopulation, LabelledGraph, bernoulli_bits, n_pairs, space_matrix
+from .graphs import enumerate_graph_space
 from .metrics import MetricSpec, cross_distances, hamming
 
 
@@ -166,7 +161,7 @@ def _sorted_quantile(rows: np.ndarray, q: float) -> np.ndarray:
 @lru_cache(maxsize=32)
 def _space_distance_table(n_vertices: int, kind: str, t: float) -> np.ndarray:
     """All pairwise raw distances over the enumerated space; read-only, cached."""
-    mat = GraphPopulation(enumerate_graph_space(n_vertices)).to_matrix()
+    mat = space_matrix(n_vertices)
     table = cross_distances(mat, mat, MetricSpec(kind, t=t), n_vertices)
     table.flags.writeable = False
     return table
@@ -184,10 +179,7 @@ def snf_exact(params: SnfParams) -> ExactDistribution:
     For the Hamming metric the partition function is cross-checked against the
     combinatorial closed form sum_h C(N_e, h) exp(-gamma phi(h)).
     """
-    n = params.mode.n_vertices
-    if n > 5:
-        raise SpaceTooLargeError(n)
-    space = enumerate_graph_space(n)
+    space = enumerate_graph_space(params.mode.n_vertices)
     dist = space_distances(params.mode, params.metric)
     log_kernels = -params.gamma * params.metric.apply_phi(dist)
     log_z = _logsumexp(log_kernels)
@@ -207,10 +199,7 @@ def snf_exact(params: SnfParams) -> ExactDistribution:
 
 def cer_exact(params: CerParams) -> ExactDistribution:
     """Exact CER distribution by enumeration (N <= 5)."""
-    n = params.mode.n_vertices
-    if n > 5:
-        raise SpaceTooLargeError(n)
-    space = enumerate_graph_space(n)
+    space = enumerate_graph_space(params.mode.n_vertices)
     dist = space_distances(params.mode, MetricSpec(kind="hamming"))
     ne = params.mode.n_pairs
     log_probs = dist * log(params.alpha) + (ne - dist) * log(1.0 - params.alpha)
@@ -223,9 +212,6 @@ def snf_entropy_exact(params: SnfParams) -> float:
     The identity log Z + gamma E[phi(d)] must agree with the direct
     -sum p log p within 1e-8; the direct value is returned.
     """
-    n = params.mode.n_vertices
-    if n > 5:
-        raise SpaceTooLargeError(n)
     dist = space_distances(params.mode, params.metric)
     energies = params.metric.apply_phi(dist)
     log_kernels = -params.gamma * energies
@@ -238,11 +224,6 @@ def snf_entropy_exact(params: SnfParams) -> float:
             f"entropy identity {via_identity} disagrees with direct value {direct}"
         )
     return direct
-
-
-def _lexicographic_argmin(objective: np.ndarray) -> int:
-    # np.argmin returns the first minimizer; candidates are ordered by bit-set.
-    return int(np.argmin(objective))
 
 
 def sample_frechet_mean(
@@ -260,20 +241,17 @@ def sample_frechet_mean(
         raise EmptyPopulationError("cannot take the Frechet mean of nothing")
     n = pop.n_vertices
     if candidates is None:
-        if n > 5:
-            raise SpaceTooLargeError(n)
         table = _space_distance_table(n, metric.kind, metric.t)
         data_rows = np.array([g.edge_bits for g in pop])
         objective = (table[data_rows] ** 2).sum(axis=0)
-        space = enumerate_graph_space(n)
-        return space[_lexicographic_argmin(objective)]
+        return LabelledGraph(n, int(np.argmin(objective)))
     cand = GraphPopulation(tuple(sorted(candidates, key=lambda g: g.edge_bits)))
     if cand.n_vertices != n:
         raise SizeMismatchError(n, cand.n_vertices)
     dists = cross_distances(cand.to_matrix(), pop.to_matrix(), metric, n)
     # Python floats summed in data order: the bits of the per-pair sum.
     objective = np.array([sum(d**2 for d in row) for row in dists.tolist()])
-    return cand[_lexicographic_argmin(objective)]
+    return cand[int(np.argmin(objective))]
 
 
 def frechet_mean_of_distribution(dist: ExactDistribution, metric: MetricSpec) -> LabelledGraph:
@@ -281,7 +259,7 @@ def frechet_mean_of_distribution(dist: ExactDistribution, metric: MetricSpec) ->
     n = dist.space[0].n_vertices
     table = _space_distance_table(n, metric.kind, metric.t)
     objective = dist.probs @ (table**2)
-    return dist.space[_lexicographic_argmin(objective)]
+    return dist.space[int(np.argmin(objective))]
 
 
 def frechet_objective(pop: GraphPopulation, metric: MetricSpec, candidate: LabelledGraph) -> float:
