@@ -39,7 +39,7 @@ class NonZeroDiagonalError(GraphPopError):
 
 
 class SpaceTooLargeError(GraphPopError):
-    def __init__(self, n_vertices, limit=5):
+    def __init__(self, n_vertices, limit):
         super().__init__(
             f"graph space for N={n_vertices} has 2^{n_vertices * (n_vertices - 1) // 2} "
             f"elements; exhaustive operations require N <= {limit}"

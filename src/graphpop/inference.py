@@ -11,6 +11,9 @@ so the exchange sampler is exact there and the enumeration-based exact
 posteriors check it. Above N = 5 they come from a finite inner Metropolis
 chain, which makes the sampler approximate.
 
+Both samplers are chain generators that ``_drive_chain``, the one burn-in,
+lag and keep loop, advances a block of iterations at a time.
+
 All randomness flows through ``numpy.random.Generator`` seeded from the config;
 parallel replicates should derive substreams with ``spawn_rng``.
 """
@@ -278,7 +281,7 @@ class _EmpiricalKernel:
     def mode_move(
         self, mode_vec: np.ndarray, flip_weight: float, tau: float, rng: np.random.Generator
     ) -> tuple[str, np.ndarray, float]:
-        """Mixture mode proposal of ``fit_sn_sn``; ``fit_cer_cer`` makes the same draws inline.
+        """Mixture mode proposal of ``_sn_sn_chain``; ``_cer_cer_chain`` draws the same inline.
 
         Draws from the flip kernel with probability ``flip_weight``, else from
         this empirical kernel; returns the kernel name, the candidate and the
@@ -724,35 +727,6 @@ def sample_blocks(
 # ---------------------------------------------------------------------------
 
 
-def _run_chain(
-    cfg: McmcConfig,
-    kernels: tuple[str, ...],
-    step: Callable[[], tuple[tuple[str, bool], ...]],
-    state: Callable[[], tuple[np.ndarray, float, float]],
-    param_name: str,
-    n_vertices: int,
-) -> Trace:
-    """``_drive_chain`` over a sampler that makes one iteration per call.
-
-    ``step()`` makes one iteration and returns a (kernel, accepted) pair per
-    proposal; ``state()`` returns the (mode vector, scalar, log kernel) to
-    record at a kept iteration. Every name in ``kernels`` is counted, even if
-    it never proposes.
-    """
-    accepts = {k: [0, 0] for k in kernels}
-
-    def advance(k):
-        for _ in range(k):
-            for key, accepted in step():
-                tally = accepts[key]
-                tally[1] += 1
-                if accepted:
-                    tally[0] += 1
-        return state()
-
-    return _drive_chain(cfg, accepts, advance, param_name, n_vertices)
-
-
 def _drive_chain(
     cfg: McmcConfig,
     accepts: dict[str, list[int]],
@@ -765,8 +739,9 @@ def _drive_chain(
     ``advance(k)`` makes k iterations (k may be 0), adds their [accepted,
     proposed] counts per kernel into ``accepts``, and returns the (mode
     vector, scalar, log kernel) after them: the burn-in is one block, then
-    each kept sample ends a block of ``cfg.lag`` iterations. The driver itself
-    draws no random numbers.
+    each kept sample ends a block of ``cfg.lag`` iterations. Both fits pass
+    the ``send`` of a primed chain generator (``_cer_cer_chain``,
+    ``_sn_sn_chain``). The driver itself draws no random numbers.
     """
     kept_graphs: list[LabelledGraph] = []
     kept_params: list[float] = []
@@ -1039,18 +1014,34 @@ def fit_sn_sn(
     for (mode, gamma), data-kernel ratio, the inverse ratio of the SNF kernels
     at the auxiliaries, and the proposal ratio. The partition functions cancel
     exactly; above N = 5 the finite inner chains are the only approximation.
+
+    The chain is the generator ``_sn_sn_chain``, which ``_drive_chain``
+    advances in blocks as it does ``fit_cer_cer``'s. It draws the starting
+    auxiliaries, then per iteration the ``mode_move``, ``reflected_walk``,
+    ``snf_mh_matrix`` and decision draws, in that order.
     """
     if not 0.0 < alpha_tilde < 0.5:
         raise DomainError(f"alpha_tilde={alpha_tilde} outside (0, 0.5)")
     n_vertices = pop.n_vertices
     if hyper.g0.n_vertices != n_vertices:
         raise DomainError("prior mode lives on a different vertex set than the data")
-    ne = n_pairs(n_vertices)
+    accepts = {"flip": [0, 0], "empirical": [0, 0]}
+    chain = _sn_sn_chain(pop, hyper, cfg, alpha_tilde, spawn_rng(cfg.seed), accepts)
+    next(chain)
+    return _drive_chain(cfg, accepts, chain.send, "gamma", n_vertices)
+
+
+def _sn_sn_chain(pop, hyper, cfg, alpha_tilde, rng, accepts):
+    """``fit_sn_sn``'s chain as a generator: ``send(k)`` makes k exchange iterations.
+
+    Each send returns (mode vector, gamma, log kernel) after its iterations
+    and adds their counts into ``accepts``.
+    """
+    ne = n_pairs(pop.n_vertices)
     n = len(pop)
     tau = cfg.resolved_tau(ne)
     aux_steps = cfg.resolved_aux_steps(ne)
-    rng = spawn_rng(cfg.seed)
-    engine = _MetricEngine(hyper.metric, n_vertices)
+    engine = _MetricEngine(hyper.metric, pop.n_vertices)
     phi = hyper.metric.apply_phi
 
     data = pop.to_matrix()
@@ -1076,41 +1067,39 @@ def fit_sn_sn(
     s_aux = float(phi(aux_d).sum())
     s_aux_h = int(np.count_nonzero(aux != mode_vec))
 
-    def step():
-        nonlocal mode_vec, gamma, s_aux, s_aux_h, s_data, e_prior
-        key, cand, log_q_diff = empirical.mode_move(mode_vec, cfg.kernel_mix_weight, tau, rng)
-        gamma_c = reflected_walk(gamma, 0.0, None, cfg.step_sizes_upsilon, rng)
+    k = yield
+    while True:
+        for _ in range(k):
+            key, cand, log_q_diff = empirical.mode_move(mode_vec, cfg.kernel_mix_weight, tau, rng)
+            gamma_c = reflected_walk(gamma, 0.0, None, cfg.step_sizes_upsilon, rng)
 
-        aux_c, aux_dc = snf_mh_matrix(cand, gamma_c, engine, n, aux_steps, tau, rng)
-        s_aux_c = float(phi(aux_dc).sum())
-        s_aux_h_c = int(np.count_nonzero(aux_c != cand))
-        s_data_c = data_energy(cand)
-        e_prior_c = prior_energy(cand)
+            aux_c, aux_dc = snf_mh_matrix(cand, gamma_c, engine, n, aux_steps, tau, rng)
+            s_aux_c = float(phi(aux_dc).sum())
+            s_aux_h_c = int(np.count_nonzero(aux_c != cand))
+            s_data_c = data_energy(cand)
+            e_prior_c = prior_energy(cand)
 
-        log_ratio = (
-            lw_aux * (s_aux_h_c - s_aux_h)
-            + (-hyper.gamma0 * (e_prior_c - e_prior))
-            + (hyper.gamma_prior.log_pdf(gamma_c) - hyper.gamma_prior.log_pdf(gamma))
-            + (-gamma_c * s_data_c + gamma * s_data)
-            + (-gamma * s_aux + gamma_c * s_aux_c)
-            + log_q_diff
-        )
-        if np.isnan(log_ratio):
-            raise NonFiniteLogRatioError(
-                "exchange ratio is NaN; check the metric/phi combination"
+            log_ratio = (
+                lw_aux * (s_aux_h_c - s_aux_h)
+                + (-hyper.gamma0 * (e_prior_c - e_prior))
+                + (hyper.gamma_prior.log_pdf(gamma_c) - hyper.gamma_prior.log_pdf(gamma))
+                + (-gamma_c * s_data_c + gamma * s_data)
+                + (-gamma * s_aux + gamma_c * s_aux_c)
+                + log_q_diff
             )
-        accepted = log(rng.random()) < log_ratio
-        if accepted:
-            mode_vec, gamma = cand, gamma_c
-            s_aux, s_aux_h = s_aux_c, s_aux_h_c
-            s_data, e_prior = s_data_c, e_prior_c
-        return ((key, accepted),)
-
-    def state():
+            if np.isnan(log_ratio):
+                raise NonFiniteLogRatioError(
+                    "exchange ratio is NaN; check the metric/phi combination"
+                )
+            tally = accepts[key]
+            tally[1] += 1
+            if log(rng.random()) < log_ratio:
+                tally[0] += 1
+                mode_vec, gamma = cand, gamma_c
+                s_aux, s_aux_h = s_aux_c, s_aux_h_c
+                s_data, e_prior = s_data_c, e_prior_c
         logk = -hyper.gamma0 * e_prior + hyper.gamma_prior.log_pdf(gamma) - gamma * s_data
-        return mode_vec, gamma, logk
-
-    return _run_chain(cfg, ("flip", "empirical"), step, state, "gamma", n_vertices)
+        k = yield mode_vec, gamma, logk
 
 
 def exact_posterior_snf(

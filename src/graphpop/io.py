@@ -153,7 +153,7 @@ def _graph_from_record(n: int, edges, line_no: int) -> LabelledGraph:
         if not isinstance(e, (list, tuple)) or len(e) != 2:
             raise ParseError(f"edge {e!r} is not a pair", line_no)
         i, j = e
-        if not isinstance(i, int) or not isinstance(j, int):
+        if type(i) is not int or type(j) is not int:
             raise ParseError(f"edge {e!r} has non-integer endpoints", line_no)
         if i == j:
             raise ParseError(f"edge [{i}, {j}] is a self-loop", line_no)
@@ -166,7 +166,7 @@ def _graph_from_record(n: int, edges, line_no: int) -> LabelledGraph:
 
 
 def _vertex_count(n, field: str) -> int:
-    if not isinstance(n, int) or n < 1:
+    if not _conforms(n, int) or n < 1:
         raise SchemaError(f"bad vertex count {n!r}", field=field)
     return n
 
@@ -298,11 +298,12 @@ def read_trace(path: str) -> Trace:
     for line_no, rec in records:
         edges, param, log_kernel = _required(rec, line_no, "edges", "param", "log_kernel")
         graphs.append(_graph_from_record(n_vertices, edges, line_no))
-        try:
-            params.append(float(param))
-            log_kernels.append(float(log_kernel))
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"param and log_kernel must be numbers ({exc})", line_no) from exc
+        if not (_conforms(param, float) and _conforms(log_kernel, float)):
+            raise ParseError(
+                f"param {param!r} and log_kernel {log_kernel!r} must be numbers", line_no
+            )
+        params.append(float(param))
+        log_kernels.append(float(log_kernel))
     cfg_dict = header.get("config")
     return Trace(
         graphs=graphs,

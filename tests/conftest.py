@@ -1,6 +1,7 @@
 import numpy as np
 
 from graphpop.graphs import LabelledGraph
+from graphpop.inference import _drive_chain
 
 
 def relabel(g: LabelledGraph, perm) -> LabelledGraph:
@@ -23,3 +24,23 @@ def graph_marginal_from_trace(trace, size: int) -> np.ndarray:
     for g in trace.graphs:
         counts[g.edge_bits] += 1
     return counts / counts.sum()
+
+
+def run_reference_chain(cfg, kernels, step, state, param_name, n_vertices):
+    """``_drive_chain`` over a step-by-step reference sampler.
+
+    ``step()`` makes one iteration and returns a (kernel, accepted) pair per
+    proposal; ``state()`` returns the (mode vector, scalar, log kernel) to
+    record. Every name in ``kernels`` is counted, even if it never proposes.
+    """
+    accepts = {k: [0, 0] for k in kernels}
+
+    def advance(k):
+        for _ in range(k):
+            for key, accepted in step():
+                accepts[key][1] += 1
+                if accepted:
+                    accepts[key][0] += 1
+        return state()
+
+    return _drive_chain(cfg, accepts, advance, param_name, n_vertices)

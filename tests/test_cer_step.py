@@ -13,13 +13,13 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import run_reference_chain
 from graphpop.errors import DomainError, StepTooLargeError
 from graphpop.graphs import GraphPopulation, LabelledGraph, majority_vote, n_pairs
 from graphpop.inference import (
     CerCerHyper,
     McmcConfig,
     _EmpiricalKernel,
-    _run_chain,
     fit_cer_cer,
     reflected_walk,
     spawn_rng,
@@ -83,7 +83,7 @@ def reference_fit_cer_cer(pop, hyper, cfg):
     def state():
         return mode_vec, alpha, log_target(d0, dsum, alpha)
 
-    return _run_chain(
+    return run_reference_chain(
         cfg, ("flip", "empirical", "alpha_walk"), step, state, "alpha", n_vertices
     )
 

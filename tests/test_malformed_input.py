@@ -81,6 +81,11 @@ def _diagnose(tmp_path, data, trace_path):
         (None, _drop(0, "param"), _diagnose, "SchemaError"),
         (None, _set(1, "param", None), _diagnose, "ParseError"),
         (None, _set(3, "log_kernel", [1.0]), _diagnose, "ParseError"),
+        ('{"id":"g1","n":true,"edges":[]}\n', None, _distances, "SchemaError"),
+        ('{"id":"g1","n":3,"edges":[[true,2]]}\n', None, _distances, "ParseError"),
+        (None, _set(0, "n_vertices", True), _diagnose, "SchemaError"),
+        (None, _set(1, "param", "0.25"), _diagnose, "ParseError"),
+        (None, _set(2, "log_kernel", True), _diagnose, "ParseError"),
     ],
     ids=[
         "population-edges-not-a-list",
@@ -93,6 +98,11 @@ def _diagnose(tmp_path, data, trace_path):
         "trace-header-missing-param",
         "trace-sample-null-param",
         "trace-sample-list-log-kernel",
+        "population-bool-n",
+        "population-bool-endpoint",
+        "trace-header-bool-n-vertices",
+        "trace-sample-string-param",
+        "trace-sample-bool-log-kernel",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, population_text, edit_trace, command, error):
