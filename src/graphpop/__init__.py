@@ -37,8 +37,6 @@ from .inference import (
     fit_cer_cer,
     fit_sn_sn,
     posterior_summary,
-    propose_mode_empirical,
-    propose_mode_flip,
     reflected_walk,
     spawn_rng,
 )

@@ -127,30 +127,21 @@ class LabelledGraph:
 BERNOULLI_BUFFER = 1 << 18
 
 
-def bernoulli_bits(rng: np.random.Generator, p, shape) -> np.ndarray:
+def bernoulli_bits(rng: np.random.Generator, p: float, shape) -> np.ndarray:
     """``(rng.random(shape) < p).astype(np.uint8)`` without the float64 block.
 
-    ``p`` is a scalar or a vector of length ``shape[-1]``. The uniforms are
-    drawn in C order into one reused buffer of at most ``BERNOULLI_BUFFER``
-    doubles, so the result and the generator's state afterwards equal the
-    one-shot draw's bit for bit, and the peak is the uint8 output plus 2 MiB.
+    ``p`` is a scalar. The uniforms are drawn in C order into one reused buffer
+    of at most ``BERNOULLI_BUFFER`` doubles, so the result and the generator's
+    state afterwards equal the one-shot draw's bit for bit, and the peak is
+    the uint8 output plus 2 MiB.
     """
     out = np.empty(shape, dtype=np.uint8)
-    p = np.asarray(p, dtype=np.float64)
-    if out.size == 0:
-        return out
-    # Rows of the grid share p: the whole output for a scalar, the last axis for a vector.
-    grid = out.reshape(-1, out.shape[-1] if p.ndim else out.size).view(np.bool_)
-    n_rows, width = grid.shape
-    cols = min(width, BERNOULLI_BUFFER)
-    rows = max(1, BERNOULLI_BUFFER // width)  # > 1 only when whole rows fit
-    buf = np.empty(min(n_rows, rows) * cols)
-    for r in range(0, n_rows, rows):
-        r_end = min(r + rows, n_rows)
-        for c in range(0, width, cols):
-            u = buf[: (r_end - r) * min(cols, width - c)].reshape(r_end - r, -1)
-            rng.random(out=u)
-            np.less(u, p[c : c + cols] if p.ndim else p, out=grid[r:r_end, c : c + cols])
+    flat = out.reshape(-1).view(np.bool_)
+    buf = np.empty(min(flat.size, BERNOULLI_BUFFER))
+    for lo in range(0, flat.size, BERNOULLI_BUFFER):
+        u = buf[: flat.size - lo]
+        rng.random(out=u)
+        np.less(u, p, out=flat[lo : lo + BERNOULLI_BUFFER])
     return out
 
 
@@ -377,10 +368,10 @@ def sample_generator_matrix(
 ) -> np.ndarray:
     """``count`` generator draws stacked as a (count, n_pairs) uint8 edge-indicator matrix.
 
-    Rows are drawn one after another, except that Erdos-Renyi rows are one
-    ``bernoulli_bits`` draw, which reads the same uniforms in the same order.
-    So ``count`` calls with count = 1 give the same rows and leave the
-    generator in the same state.
+    Rows are drawn one after another, except that Erdos-Renyi rows, which
+    share one edge probability, are one ``bernoulli_bits`` draw, which reads
+    the same uniforms in the same order. So ``count`` calls with count = 1
+    give the same rows and leave the generator in the same state.
     """
     if n_vertices < 1:
         raise InvalidSpecError("n_vertices must be >= 1")
@@ -397,7 +388,7 @@ def _generator_vector(spec: GeneratorSpec, n_vertices: int, rng: np.random.Gener
         blocks = rng.choice(spec.n_blocks, size=n_vertices, p=spec.membership_probs)
         ii, jj = pair_positions(n_vertices)
         probs = np.where(blocks[ii] == blocks[jj], spec.within_p, spec.between_p)
-        return bernoulli_bits(rng, probs, len(probs))
+        return (rng.random(len(probs)) < probs).astype(np.uint8)
     if isinstance(spec, SmallWorld):
         return _small_world_vector(spec, n_vertices, rng)
     if isinstance(spec, RandomGeometric):

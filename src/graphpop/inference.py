@@ -231,38 +231,14 @@ class Trace:
 # ---------------------------------------------------------------------------
 
 
-def propose_mode_flip(g: LabelledGraph, tau: float, rng: np.random.Generator) -> LabelledGraph:
-    """Flip every edge indicator independently with probability tau (symmetric)."""
-    if not 0.0 < tau < 1.0:
-        raise DomainError(f"tau={tau} outside (0, 1)")
-    return LabelledGraph.from_vector(g.n_vertices, _flip(g.to_vector(), tau, rng))
-
-
 def _flip(vec: np.ndarray, tau: float, rng: np.random.Generator) -> np.ndarray:
     mask = (rng.random(vec.shape[0]) < tau).astype(np.uint8)
     return vec ^ mask
 
 
-def propose_mode_empirical(
-    pop: GraphPopulation, rng: np.random.Generator
-) -> tuple[LabelledGraph, Callable[[LabelledGraph], float]]:
-    """Independence proposal with per-edge empirical inclusion frequencies.
-
-    Frequencies of exactly 0 or 1 are clamped to [1/(2n), 1 - 1/(2n)] so every
-    graph has positive proposal mass. Returns the draw together with the log
-    proposal density needed for the Hastings correction.
-    """
-    kernel = _EmpiricalKernel(pop.to_matrix())
-    vec = kernel.propose(rng)
-    n_vertices = pop.n_vertices
-
-    def log_density(g: LabelledGraph) -> float:
-        return kernel.log_q(g.to_vector())
-
-    return LabelledGraph.from_vector(n_vertices, vec), log_density
-
-
 class _EmpiricalKernel:
+    """Independence proposal: the data's edge frequencies, clamped into [1/(2n), 1 - 1/(2n)]."""
+
     def __init__(self, data_mat: np.ndarray):
         n = data_mat.shape[0]
         freq = data_mat.mean(axis=0)
@@ -956,10 +932,6 @@ class ExactJointPosterior:
     @property
     def graph_marginal(self) -> np.ndarray:
         return self.joint.sum(axis=1)
-
-    @property
-    def scalar_marginal(self) -> np.ndarray:
-        return self.joint.sum(axis=0)
 
 
 def exact_posterior_cer(

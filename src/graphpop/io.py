@@ -130,8 +130,8 @@ def _ndjson_records(path: str) -> Iterator[tuple[int, dict]]:
                 continue
             try:
                 rec = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from exc
+            except ValueError as exc:  # JSONDecodeError, or an integer past Python's digit limit
+                raise ParseError(f"invalid JSON ({getattr(exc, 'msg', exc)})", line_no) from exc
             if not isinstance(rec, dict):
                 raise ParseError("record is not an object", line_no)
             yield line_no, rec
@@ -165,9 +165,9 @@ def _graph_from_record(n: int, edges, line_no: int) -> LabelledGraph:
     return LabelledGraph.from_edges(n, pairs)
 
 
-def _vertex_count(n, field: str) -> int:
+def _vertex_count(n, field: str, line_no: int) -> int:
     if not _conforms(n, int) or n < 1:
-        raise SchemaError(f"bad vertex count {n!r}", field=field)
+        raise SchemaError(f"bad vertex count {n!r} on line {line_no}", field=field)
     return n
 
 
@@ -178,11 +178,11 @@ def read_population(path: str) -> GraphPopulation:
     n_common: Optional[int] = None
     for line_no, rec in _ndjson_records(path):
         n, edges = _required(rec, line_no, "n", "edges")
-        n = _vertex_count(n, "n")
+        n = _vertex_count(n, "n", line_no)
         if n_common is None:
             n_common = n
         elif n != n_common:
-            raise SchemaError(f"population mixes n={n_common} and n={n} graphs", field="n")
+            raise SchemaError(f"population mixes n={n_common} and n={n} on line {line_no}", field="n")
         graphs.append(_graph_from_record(n, edges, line_no))
         ids.append(str(rec.get("id", f"g{line_no}")))
     if not graphs:
@@ -293,7 +293,7 @@ def read_trace(path: str) -> Trace:
     if header.get("type") != "trace":
         raise SchemaError("first line is not a trace header", field="type")
     n_vertices, param_name = _required(header, header_line, "n_vertices", "param")
-    n_vertices = _vertex_count(n_vertices, "n_vertices")
+    n_vertices = _vertex_count(n_vertices, "n_vertices", header_line)
     graphs, params, log_kernels = [], [], []
     for line_no, rec in records:
         edges, param, log_kernel = _required(rec, line_no, "edges", "param", "log_kernel")
@@ -302,8 +302,11 @@ def read_trace(path: str) -> Trace:
             raise ParseError(
                 f"param {param!r} and log_kernel {log_kernel!r} must be numbers", line_no
             )
-        params.append(float(param))
-        log_kernels.append(float(log_kernel))
+        try:
+            params.append(float(param))
+            log_kernels.append(float(log_kernel))
+        except OverflowError as exc:  # an integer beyond the float range
+            raise ParseError(f"param or log_kernel out of float range ({exc})", line_no) from exc
     cfg_dict = header.get("config")
     return Trace(
         graphs=graphs,

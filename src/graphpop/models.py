@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import comb, exp, log
+from math import comb, log
 
 import numpy as np
 

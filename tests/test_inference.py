@@ -21,6 +21,8 @@ from graphpop.inference import (
     SnSnHyper,
     Trace,
     TruncatedUniformPrior,
+    _EmpiricalKernel,
+    _flip,
     _MetricEngine,
     divide_and_conquer_fit,
     exact_posterior_cer,
@@ -28,8 +30,6 @@ from graphpop.inference import (
     fit_cer_cer,
     fit_sn_sn,
     posterior_summary,
-    propose_mode_empirical,
-    propose_mode_flip,
     reflected_walk,
     snf_mh_matrix,
     spawn_rng,
@@ -102,18 +102,18 @@ class TestReflectedWalk:
 class TestModeProposals:
     def test_flip_tiny_tau_is_identity(self):
         rng = spawn_rng(1)
-        g = random_graph(5, rng)
+        vec = random_graph(5, rng).to_vector()
         for _ in range(100):
-            assert propose_mode_flip(g, 1e-12, rng) == g
+            np.testing.assert_array_equal(_flip(vec, 1e-12, rng), vec)
 
     def test_flip_rate(self):
         rng = spawn_rng(2)
-        g = LabelledGraph(3, 0)
+        vec = LabelledGraph(3, 0).to_vector()
         tau = 0.3
         flips = np.zeros(3)
         n = 100_000
         for _ in range(n):
-            flips += propose_mode_flip(g, tau, rng).to_vector()
+            flips += _flip(vec, tau, rng)
         assert np.abs(flips / n - tau).max() < 3 * math.sqrt(tau * (1 - tau) / n)
 
     def test_flip_density_ratio_is_one(self):
@@ -129,33 +129,50 @@ class TestModeProposals:
     def test_empirical_identical_population(self):
         g = LabelledGraph.from_edges(3, [(0, 1), (1, 2)])
         pop = GraphPopulation((g, g, g))
-        rng = spawn_rng(4)
-        _, log_q = propose_mode_empirical(pop, rng)
+        kernel = _EmpiricalKernel(pop.to_matrix())
+        assert set(kernel.propose(spawn_rng(4))) <= {0, 1}
         # Clamping puts every frequency at 1/(2n) or 1 - 1/(2n) = 5/6.
         expected = 3 * math.log(5.0 / 6.0)
-        assert log_q(g) == pytest.approx(expected, abs=1e-12)
+        assert kernel.log_q(g.to_vector()) == pytest.approx(expected, abs=1e-12)
 
     def test_empirical_self_consistency(self):
         rng = spawn_rng(5)
         pop = GraphPopulation(tuple(random_graph(4, rng) for _ in range(4)))
         freq = np.clip(pop.edge_frequencies(), 1 / 8, 7 / 8)
-        proposal, log_q = propose_mode_empirical(pop, rng)
-        v = proposal.to_vector()
+        kernel = _EmpiricalKernel(pop.to_matrix())
+        v = kernel.propose(rng)
         direct = float((v * np.log(freq) + (1 - v) * np.log(1 - freq)).sum())
-        assert log_q(proposal) == pytest.approx(direct, abs=1e-12)
+        assert kernel.log_q(v) == pytest.approx(direct, abs=1e-12)
 
     def test_empirical_frequency(self):
         g1 = LabelledGraph.from_edges(3, [(0, 1)])
         g2 = LabelledGraph.from_edges(3, [(0, 1)])
         g3 = LabelledGraph(3, 0)
-        pop = GraphPopulation((g1, g2, g3))
+        kernel = _EmpiricalKernel(GraphPopulation((g1, g2, g3)).to_matrix())
         rng = spawn_rng(6)
         hits = 0
         n = 30_000
         for _ in range(n):
-            proposal, _ = propose_mode_empirical(pop, rng)
-            hits += int(proposal.to_vector()[0])
+            hits += int(kernel.propose(rng)[0])
         assert abs(hits / n - 2 / 3) < 0.01
+
+    def test_mode_move_draws_from_the_chosen_kernel(self):
+        pop = GraphPopulation(tuple(random_graph(4, spawn_rng(7, k)) for k in range(4)))
+        kernel = _EmpiricalKernel(pop.to_matrix())
+        mode = random_graph(4, spawn_rng(8)).to_vector()
+        tau = 0.3
+        for flip_weight in (1.0, 0.0):
+            rng, ref = spawn_rng(9), spawn_rng(9)
+            name, cand, log_corr = kernel.mode_move(mode, flip_weight, tau, rng)
+            ref.random()  # the kernel-choice uniform
+            if flip_weight == 1.0:
+                assert name == "flip" and log_corr == 0.0
+                np.testing.assert_array_equal(cand, _flip(mode, tau, ref))
+            else:
+                assert name == "empirical"
+                np.testing.assert_array_equal(cand, kernel.propose(ref))
+                assert log_corr == kernel.log_q(mode) - kernel.log_q(cand)
+            assert rng.bit_generator.state == ref.bit_generator.state
 
 
 def make_cer_data(seed=0, n=5, alpha=0.1):

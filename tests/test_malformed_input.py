@@ -86,6 +86,8 @@ def _diagnose(tmp_path, data, trace_path):
         (None, _set(0, "n_vertices", True), _diagnose, "SchemaError"),
         (None, _set(1, "param", "0.25"), _diagnose, "ParseError"),
         (None, _set(2, "log_kernel", True), _diagnose, "ParseError"),
+        (None, _set(1, "param", 10**400), _diagnose, "ParseError"),
+        ('{"id":"g1","n":3,"edges":[[1,' + "9" * 5000 + "]]}\n", None, _distances, "ParseError"),
     ],
     ids=[
         "population-edges-not-a-list",
@@ -103,6 +105,8 @@ def _diagnose(tmp_path, data, trace_path):
         "trace-header-bool-n-vertices",
         "trace-sample-string-param",
         "trace-sample-bool-log-kernel",
+        "trace-sample-param-beyond-float-range",
+        "population-endpoint-beyond-int-digit-limit",
     ],
 )
 def test_malformed_input_exits_one(tmp_path, capsys, population_text, edit_trace, command, error):
@@ -126,6 +130,18 @@ class TestRecordReader:
         with pytest.raises(ParseError) as exc:
             gio.read_population(str(path))
         assert exc.value.line == 2
+
+    @pytest.mark.parametrize(
+        "second_line",
+        ['{"id":"g2","n":true,"edges":[]}', '{"id":"g2","n":4,"edges":[]}'],
+        ids=["bool-n", "mixed-n"],
+    )
+    def test_vertex_count_errors_name_the_line(self, tmp_path, second_line):
+        path = tmp_path / "pop.ndjson"
+        path.write_text(f"{GOOD_GRAPH}\n{second_line}\n")
+        with pytest.raises(SchemaError) as exc:
+            gio.read_population(str(path))
+        assert exc.value.field == "n" and "line 2" in str(exc.value)
 
     def test_missing_trace_key_names_the_field(self, tmp_path):
         _, trace_path = _write_inputs(tmp_path, edit_trace=_drop(2, "param"))
@@ -176,6 +192,7 @@ def _set_config(key, value):
         (_set(0, "accept_counts", {"flip": 3}), "accept_counts"),
         (_set(0, "accept_counts", {"flip": [1, 2, 3]}), "accept_counts"),
         (_set(0, "accept_counts", {"flip": [1, "2"]}), "accept_counts"),
+        (_set(0, "n_vertices", 0), "n_vertices"),
     ],
     ids=[
         "lag-string",
@@ -190,6 +207,7 @@ def _set_config(key, value):
         "accepts-count-not-a-pair",
         "accepts-triple",
         "accepts-string-count",
+        "n-vertices-zero",
     ],
 )
 def test_mistyped_trace_header_exits_one_naming_the_field(tmp_path, capsys, edit_trace, field):
