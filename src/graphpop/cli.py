@@ -15,6 +15,7 @@ import json
 import sys
 from dataclasses import fields
 from datetime import datetime, timezone
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -328,22 +329,22 @@ def _cmd_diagnose(args) -> int:
             raise ConfigError(f"{flag}: {exc}") from None
     pop = gio.read_population(args.data)
     trace = gio.read_trace(args.trace)
+    param = {"cer": "alpha", "snf": "gamma"}[args.model]
+    if trace.param_name != param:
+        raise ConfigError(f"--model {args.model} fits {param}; the trace holds {trace.param_name}")
     stat = _stat_from_name(args.stat)
-    metric = None
+    params_of = CerParams
     if args.model == "snf":
         metric = MetricSpec(kind=args.metric, t=args.t, phi=getattr(args, "phi", "identity"))
+        params_of = partial(SnfParams, metric=metric)
     # Replicates run the inner chains the fit ran, as its trace header records.
     fitted = trace.config or McmcConfig(n_samples=0)
-    knobs = {"inner_steps": fitted.aux_inner_steps, "tau": fitted.flip_prob_tau}
     out = gio.ensure_dir(args.out)
     started = _now()
     rng = spawn_rng(args.seed)
-    ppc = posterior_predictive_check(
-        trace, args.model, pop, stat, args.k, rng, metric=metric, **knobs
-    )
+    ppc = posterior_predictive_check(trace, params_of, pop, stat, args.k, rng, fitted)
     chi2 = bayes_chi2(
-        trace, args.model, pop, stat, Chi2Config(), rng, metric=metric,
-        n_sims=args.chi2_sims, max_draws=args.max_draws, **knobs,
+        trace, params_of, pop, stat, Chi2Config(), rng, fitted, args.chi2_sims, args.max_draws
     )
     rb_values = np.sort(chi2.rb_values)
     report = {

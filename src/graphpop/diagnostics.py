@@ -21,7 +21,7 @@ from .errors import DomainError, EmptyTraceError, TooFewObservationsError
 from .graphs import GraphPopulation, LabelledGraph, n_pairs, pair_positions
 from .inference import McmcConfig, Trace, _MetricEngine, sample_matrix, snf_mh_matrix
 from .metrics import MetricSpec
-from .models import CerParams, SnfParams, _sorted_quantile
+from .models import SnfParams, _sorted_quantile
 
 
 # ---------------------------------------------------------------------------
@@ -102,8 +102,10 @@ def predictive_draws(
 ) -> Iterator[np.ndarray]:
     """Replicate edge matrices drawn from the model at the kept samples ``idx``.
 
-    For each index in order, yields ``size`` draws from ``params_of(mode,
-    scalar)`` at that sample. Draws are made lazily, so a consumer may use
+    The fitted model is the pair ``(params_of, mcmc)``, as in every check below:
+    for each index in order, yields ``size`` draws from the ``CerParams`` or
+    ``SnfParams`` that ``params_of(mode, scalar)`` builds at that sample, SNF
+    chain draws taking ``mcmc``'s inner steps and tau. Draws are made lazily, so a consumer may use
     ``rng`` between two of them without changing either stream. SNF draws
     share one ``_MetricEngine``, built at the first of them: ``params_of``
     keeps the metric and the vertex count, and building an engine per draw
@@ -115,17 +117,6 @@ def predictive_draws(
         if engine is None and isinstance(params, SnfParams):
             engine = _MetricEngine(params.metric, params.mode.n_vertices)
         yield sample_matrix(params, size, rng, mcmc, engine)
-
-
-def _replicates(trace, idx, model, metric, inner_steps, tau, size, rng) -> Iterator[np.ndarray]:
-    """Checked replicate populations from the fitted model; ``None`` knobs resolve per SNF draw."""
-    if model not in ("cer", "snf"):
-        raise DomainError(f"model must be 'cer' or 'snf', got {model!r}")
-    if model == "snf" and metric is None:
-        raise DomainError("SNF replicate simulation needs the fitted metric")
-    knobs = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
-    params_of = CerParams if model == "cer" else lambda m, g: SnfParams(m, g, metric)
-    return predictive_draws(trace, idx, params_of, size, rng, knobs)
 
 
 # ---------------------------------------------------------------------------
@@ -142,17 +133,17 @@ class PpcResult:
 
 def posterior_predictive_checks(
     trace: Trace,
-    model: str,
+    params_of: Callable,
     pop: GraphPopulation,
     stats: tuple[StatisticSpec, ...],
     k_draws: int,
     rng: np.random.Generator,
-    metric: Optional[MetricSpec] = None,
-    inner_steps: Optional[int] = None,
-    tau: Optional[float] = None,
+    mcmc: McmcConfig = McmcConfig(n_samples=0),
 ) -> list[PpcResult]:
     """Two-sided tail probability of each observed statistic under the predictive.
 
+    The fitted model is ``(params_of, mcmc)``, as in ``predictive_draws``; the
+    default ``mcmc`` runs SNF chain draws with 20*N_e inner steps at tau = 1/N_e.
     For each of ``k_draws`` posterior draws, one replicate population of the
     observed size is simulated from the fitted model, and every statistic is
     evaluated on it and averaged over its networks; each result compares the
@@ -167,7 +158,7 @@ def posterior_predictive_checks(
     n_vertices = pop.n_vertices
     eta0 = [float(v.mean()) for v in _statistic_rows(stats, pop.to_matrix(), n_vertices)]
     idx = rng.integers(len(trace), size=k_draws)
-    reps = _replicates(trace, idx, model, metric, inner_steps, tau, len(pop), rng)
+    reps = predictive_draws(trace, idx, params_of, len(pop), rng, mcmc)
     draws = np.empty((len(stats), k_draws))
     for j, rep in enumerate(reps):
         draws[:, j] = [v.mean() for v in _statistic_rows(stats, rep, n_vertices)]
@@ -181,19 +172,15 @@ def posterior_predictive_checks(
 
 def posterior_predictive_check(
     trace: Trace,
-    model: str,
+    params_of: Callable,
     pop: GraphPopulation,
     stat: StatisticSpec,
     k_draws: int,
     rng: np.random.Generator,
-    metric: Optional[MetricSpec] = None,
-    inner_steps: Optional[int] = None,
-    tau: Optional[float] = None,
+    mcmc: McmcConfig = McmcConfig(n_samples=0),
 ) -> PpcResult:
-    """``posterior_predictive_checks`` for one statistic."""
-    return posterior_predictive_checks(
-        trace, model, pop, (stat,), k_draws, rng, metric, inner_steps, tau
-    )[0]
+    """``posterior_predictive_checks`` for one statistic, of the model ``(params_of, mcmc)``."""
+    return posterior_predictive_checks(trace, params_of, pop, (stat,), k_draws, rng, mcmc)[0]
 
 
 # ---------------------------------------------------------------------------
@@ -275,19 +262,19 @@ _CHI2_95 = {1: 3.841458820694124, 2: 5.991464547107979, 3: 7.814727903251179, 4:
 
 def bayes_chi2_checks(
     trace: Trace,
-    model: str,
+    params_of: Callable,
     pop: GraphPopulation,
     stats: tuple[StatisticSpec, ...],
     cfg: Chi2Config,
     rng: np.random.Generator,
-    metric: Optional[MetricSpec] = None,
+    mcmc: McmcConfig = McmcConfig(n_samples=0),
     n_sims: int = 500,
     max_draws: Optional[int] = None,
-    inner_steps: Optional[int] = None,
-    tau: Optional[float] = None,
 ) -> list[Chi2Result]:
     """Binned goodness-of-fit statistic R^B per posterior draw, for each statistic.
 
+    The fitted model is ``(params_of, mcmc)``, as in ``predictive_draws``; the
+    default ``mcmc`` runs SNF chain draws with 20*N_e inner steps at tau = 1/N_e.
     Per draw, ``n_sims`` networks are simulated once, and the model CDF of
     every statistic is estimated from them; randomized PIT values of the
     observations are binned, and R^B sums the squared standardized
@@ -315,7 +302,7 @@ def bayes_chi2_checks(
     else:
         draw_idx = np.arange(len(trace))
     # Lazy: each population is drawn before its PITs take uniforms from the same rng.
-    sims = _replicates(trace, draw_idx, model, metric, inner_steps, tau, n_sims, rng)
+    sims = predictive_draws(trace, draw_idx, params_of, n_sims, rng, mcmc)
     rb = np.empty((len(stats), len(draw_idx)))
     for j, s in enumerate(sims):
         for i, (y, v) in enumerate(zip(y_obs, _statistic_rows(stats, s, n_vertices))):
@@ -327,21 +314,17 @@ def bayes_chi2_checks(
 
 def bayes_chi2(
     trace: Trace,
-    model: str,
+    params_of: Callable,
     pop: GraphPopulation,
     stat: StatisticSpec,
     cfg: Chi2Config,
     rng: np.random.Generator,
-    metric: Optional[MetricSpec] = None,
+    mcmc: McmcConfig = McmcConfig(n_samples=0),
     n_sims: int = 500,
     max_draws: Optional[int] = None,
-    inner_steps: Optional[int] = None,
-    tau: Optional[float] = None,
 ) -> Chi2Result:
-    """``bayes_chi2_checks`` for one statistic."""
-    return bayes_chi2_checks(
-        trace, model, pop, (stat,), cfg, rng, metric, n_sims, max_draws, inner_steps, tau
-    )[0]
+    """``bayes_chi2_checks`` for one statistic, of the model ``(params_of, mcmc)``."""
+    return bayes_chi2_checks(trace, params_of, pop, (stat,), cfg, rng, mcmc, n_sims, max_draws)[0]
 
 
 # ---------------------------------------------------------------------------

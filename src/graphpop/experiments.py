@@ -453,8 +453,6 @@ def _robustness_replicate(cfg: StudyConfig, task: tuple[int, int]) -> dict[str, 
     statistic's rejection rate keeps its distribution.
     """
     n, r = task
-    fit_metric = None if cfg.model == "cer" else cfg.metric
-    knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
     n_bins = min(5, n)
     chi2_cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, n_bins + 1)))
     rng = spawn_rng(derive_seed(cfg.seed, n, r))
@@ -463,20 +461,10 @@ def _robustness_replicate(cfg: StudyConfig, task: tuple[int, int]) -> dict[str, 
     g0 = LabelledGraph.from_vector(cfg.n_vertices, g0_vec)
     trace = _fit_once(cfg, pop, g0, derive_seed(cfg.seed, n, r, 1))
     stats = cfg.statistics
-    ppcs = posterior_predictive_checks(
-        trace, cfg.model, pop, stats, cfg.ppc_draws, rng, metric=fit_metric, **knobs
-    )
+    params_of = partial(_model_params, cfg)
+    ppcs = posterior_predictive_checks(trace, params_of, pop, stats, cfg.ppc_draws, rng, cfg.mcmc)
     chi2s = bayes_chi2_checks(
-        trace,
-        cfg.model,
-        pop,
-        stats,
-        chi2_cfg,
-        rng,
-        metric=fit_metric,
-        n_sims=cfg.chi2_sims,
-        max_draws=cfg.chi2_max_draws,
-        **knobs,
+        trace, params_of, pop, stats, chi2_cfg, rng, cfg.mcmc, cfg.chi2_sims, cfg.chi2_max_draws
     )
     return {
         stat.name: (

@@ -986,6 +986,7 @@ def fit_sn_sn(
     for (mode, gamma), data-kernel ratio, the inverse ratio of the SNF kernels
     at the auxiliaries, and the proposal ratio. The partition functions cancel
     exactly; above N = 5 the finite inner chains are the only approximation.
+    gamma starts at ``hyper.gamma0``, which must lie in the prior's support.
 
     The chain is the generator ``_sn_sn_chain``, which ``_drive_chain``
     advances in blocks as it does ``fit_cer_cer``'s. It draws the starting
@@ -994,6 +995,8 @@ def fit_sn_sn(
     """
     if not 0.0 < alpha_tilde < 0.5:
         raise DomainError(f"alpha_tilde={alpha_tilde} outside (0, 0.5)")
+    if hyper.gamma_prior.log_pdf(hyper.gamma0) == -inf:
+        raise DomainError(f"gamma0={hyper.gamma0} lies outside the support of {hyper.gamma_prior}")
     n_vertices = pop.n_vertices
     if hyper.g0.n_vertices != n_vertices:
         raise DomainError("prior mode lives on a different vertex set than the data")

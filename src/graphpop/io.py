@@ -514,7 +514,6 @@ FIT_SCHEMA: dict[str, ConfigKey] = {
     **_METRIC_KEYS,
     **_CHAIN_KEYS,
     "data": ConfigKey(_parse_str, required=True),
-    "model": ConfigKey(_parse_choice("cer", "snf"), default="cer"),
     "g0": ConfigKey(_parse_str, default=None),
     "alpha0": ConfigKey(_parse_float(lo=0.0, hi=0.5), default=0.05),
     "beta_a": ConfigKey(_parse_float(lo=0.0), default=1.0),
@@ -523,7 +522,7 @@ FIT_SCHEMA: dict[str, ConfigKey] = {
     "gamma_prior": ConfigKey(_parse_choice("exponential", "uniform"), default="exponential"),
     "gamma_rate": ConfigKey(_parse_float(lo=0.0), default=1.0),
     "gamma_kappa": ConfigKey(_parse_float(lo=0.0), default=50.0),
-    "n_samples": ConfigKey(_parse_int(lo=0), default=1000),
+    "n_samples": ConfigKey(_parse_int(lo=1), default=1000),
     "burn_in": ConfigKey(_parse_int(lo=0), default=1000),
     "lag": ConfigKey(_parse_int(lo=1), default=2),
     "gamma_upsilons": ConfigKey(_parse_floats_csv, default=None),

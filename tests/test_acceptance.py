@@ -317,7 +317,7 @@ def test_criterion_10_determinism(tmp_path):
         outs.append((out / "trace.ndjson").read_bytes())
     sn_cfg = tmp_path / "sn.cfg"
     sn_cfg.write_text(
-        f"data={data}\nmodel=snf\nn_samples=200\nburn_in=200\nseed=78\n"
+        f"data={data}\nn_samples=200\nburn_in=200\nseed=78\n"
         "gamma_upsilons=0.1,0.5\nalpha_tilde=0.2\n"
     )
     sn_outs = []

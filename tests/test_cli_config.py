@@ -369,9 +369,9 @@ class TestDiagnoseCommand:
         metrics = []
 
         def spying(func):
-            def wrapper(*args, **kwargs):
-                metrics.append(kwargs["metric"])
-                return func(*args, **kwargs)
+            def wrapper(trace, params_of, *args, **kwargs):
+                metrics.append(params_of(trace.graphs[0], 1.0).metric)
+                return func(trace, params_of, *args, **kwargs)
 
             return wrapper
 

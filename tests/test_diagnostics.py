@@ -82,7 +82,7 @@ class TestPosteriorPredictiveCheck:
     def test_tail_prob_in_unit_interval(self):
         _, pop, trace = fitted_cer_trace(seed=1)
         res = posterior_predictive_check(
-            trace, "cer", pop, DegreeQuantile(0.9), 150, spawn_rng(2)
+            trace, CerParams, pop, DegreeQuantile(0.9), 150, spawn_rng(2)
         )
         assert 0.0 <= res.tail_prob <= 1.0
         assert len(res.draws) == 150
@@ -92,7 +92,7 @@ class TestPosteriorPredictiveCheck:
         pop = GraphPopulation((g,) * 6)
         # Near-zero flip probability: every replicate equals the mode exactly.
         trace = make_trace([g] * 50, [1e-12] * 50)
-        res = posterior_predictive_check(trace, "cer", pop, EdgeCount(), 100, spawn_rng(3))
+        res = posterior_predictive_check(trace, CerParams, pop, EdgeCount(), 100, spawn_rng(3))
         assert res.tail_prob == 1.0
         assert np.all(res.draws == res.eta0)
 
@@ -102,21 +102,21 @@ class TestPosteriorPredictiveCheck:
         g = LabelledGraph.from_edges(4, [(0, 1), (1, 2)])
         pop = GraphPopulation((g,) * 5)
         trace = make_trace([g] * 20, [1e-12] * 20)
-        t1 = posterior_predictive_check(trace, "cer", pop, EdgeCount(), 100, spawn_rng(4))
-        t2 = posterior_predictive_check(trace, "cer", pop, EdgeCount(), 200, spawn_rng(5))
+        t1 = posterior_predictive_check(trace, CerParams, pop, EdgeCount(), 100, spawn_rng(4))
+        t2 = posterior_predictive_check(trace, CerParams, pop, EdgeCount(), 200, spawn_rng(5))
         assert t1.tail_prob == t2.tail_prob
 
     def test_needs_enough_draws(self):
         _, pop, trace = fitted_cer_trace(seed=6)
         with pytest.raises(DomainError):
-            posterior_predictive_check(trace, "cer", pop, EdgeCount(), 50, spawn_rng(7))
+            posterior_predictive_check(trace, CerParams, pop, EdgeCount(), 50, spawn_rng(7))
 
     def test_empty_trace(self):
         g = LabelledGraph(3, 0)
         pop = GraphPopulation((g,))
         empty = Trace([], np.zeros(0), np.zeros(0), "alpha", 3)
         with pytest.raises(EmptyTraceError):
-            posterior_predictive_check(empty, "cer", pop, EdgeCount(), 100, spawn_rng(8))
+            posterior_predictive_check(empty, CerParams, pop, EdgeCount(), 100, spawn_rng(8))
 
     def test_calibration_under_correct_model(self):
         rejections = 0
@@ -124,7 +124,7 @@ class TestPosteriorPredictiveCheck:
         for r in range(reps):
             _, pop, trace = fitted_cer_trace(seed=100 + r)
             res = posterior_predictive_check(
-                trace, "cer", pop, DegreeQuantile(0.9), 150, spawn_rng(900 + r)
+                trace, CerParams, pop, DegreeQuantile(0.9), 150, spawn_rng(900 + r)
             )
             rejections += res.tail_prob < 0.05
         assert rejections / reps <= 0.15
@@ -175,7 +175,7 @@ class TestBayesChi2:
         for r in range(reps):
             _, pop, trace = fitted_cer_trace(seed=300 + r, n=10)
             res = bayes_chi2(
-                trace, "cer", pop, DegreeQuantile(0.5), Chi2Config(), spawn_rng(700 + r),
+                trace, CerParams, pop, DegreeQuantile(0.5), Chi2Config(), spawn_rng(700 + r),
                 n_sims=300, max_draws=60,
             )
             ok += res.exceedance_fraction < 0.5
@@ -186,7 +186,7 @@ class TestBayesChi2:
         pop = GraphPopulation((g,) * 3)
         trace = make_trace([g] * 10, [0.1] * 10)
         with pytest.raises(TooFewObservationsError):
-            bayes_chi2(trace, "cer", pop, EdgeCount(), Chi2Config(), spawn_rng(11))
+            bayes_chi2(trace, CerParams, pop, EdgeCount(), Chi2Config(), spawn_rng(11))
 
     def test_bin_edge_validation(self):
         with pytest.raises(DomainError):
@@ -268,14 +268,14 @@ class TestBayesChi2Bounds:
         pop = GraphPopulation((g,) * 6)
         trace = make_trace([g] * 10, [0.1] * 10)
         with pytest.raises(DomainError):
-            bayes_chi2(trace, "cer", pop, EdgeCount(), Chi2Config(), spawn_rng(12), **kwargs)
+            bayes_chi2(trace, CerParams, pop, EdgeCount(), Chi2Config(), spawn_rng(12), **kwargs)
 
     def test_accepts_the_smallest_allowed_knobs(self):
         g = LabelledGraph.from_edges(4, [(0, 1)])
         pop = GraphPopulation((g,) * 6)
         trace = make_trace([g] * 10, [0.1] * 10)
         res = bayes_chi2(
-            trace, "cer", pop, EdgeCount(), Chi2Config(), spawn_rng(13), n_sims=10, max_draws=1
+            trace, CerParams, pop, EdgeCount(), Chi2Config(), spawn_rng(13), n_sims=10, max_draws=1
         )
         assert len(res.rb_values) == 1 and np.isfinite(res.rb_values).all()
 
@@ -341,7 +341,7 @@ class TestChi2ThresholdTable:
         pop = GraphPopulation(tuple(random_graph(6, rng, p=0.3) for _ in range(8)))
         trace = make_trace([pop[0]], [0.1])
         cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, n_bins + 1)))
-        res = bayes_chi2(trace, "cer", pop, EdgeCount(), cfg, spawn_rng(31), n_sims=10)
+        res = bayes_chi2(trace, CerParams, pop, EdgeCount(), cfg, spawn_rng(31), n_sims=10)
         assert res.threshold == chi2_quantile(0.95, n_bins - 1)
 
 

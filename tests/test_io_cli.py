@@ -150,7 +150,7 @@ class TestRunConfig:
 
     def test_missing_required(self, tmp_path):
         path = tmp_path / "cfg"
-        path.write_text("model=cer\n")
+        path.write_text("alpha0=0.1\n")
         with pytest.raises(ConfigError) as exc:
             gio.read_config(str(path))
         assert "data" in str(exc.value)
@@ -171,7 +171,7 @@ class TestRunConfig:
         path = tmp_path / "cfg"
         path.write_text("# comment\ndata=d.ndjson\n\nupsilons=0.01,0.05\n")
         cfg = gio.read_config(str(path))
-        assert cfg["model"] == "cer"
+        assert cfg["gamma_prior"] == "exponential"
         assert cfg["upsilons"] == (0.01, 0.05)
         assert cfg["lag"] == 2
 
@@ -278,7 +278,7 @@ class TestCli:
         fit_out = tmp_path / "sn_out"
         cfg = tmp_path / "sn.cfg"
         cfg.write_text(
-            f"data={data}\nmodel=snf\nmetric=hamming\nn_samples=150\nburn_in=100\n"
+            f"data={data}\nmetric=hamming\nn_samples=150\nburn_in=100\n"
             "lag=1\nseed=13\ngamma_upsilons=0.1,0.5\nalpha_tilde=0.2\n"
         )
         assert main(["fit-sn", "--config", str(cfg), "--out", str(fit_out)]) == 0

@@ -1,6 +1,7 @@
 """Inner-chain defaults, their validation, and the samplers' acceptance bookkeeping."""
 
 from dataclasses import replace
+from functools import partial
 
 import pytest
 
@@ -25,7 +26,7 @@ from graphpop.inference import (
     spawn_rng,
 )
 from graphpop.metrics import MetricSpec
-from graphpop.models import CerParams, cer_sample
+from graphpop.models import CerParams, SnfParams, cer_sample
 
 
 def small_fit(seed=0, n_vertices=6, n=6):
@@ -36,14 +37,18 @@ def small_fit(seed=0, n_vertices=6, n=6):
     return mode, pop, fit_cer_cer(pop, CerCerHyper(g0=mode, alpha0=0.1), cfg)
 
 
+def _knobs_config(inner_steps=None, tau=None):
+    return McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
+
+
 class TestInnerChainKnobs:
     @pytest.mark.parametrize("knobs", [{"tau": 0.0}, {"tau": 1.0}, {"inner_steps": 0}])
     def test_ppc_rejects_invalid_knobs(self, knobs):
         _, pop, trace = small_fit()
         with pytest.raises(DomainError):
             posterior_predictive_check(
-                trace, "snf", pop, EdgeCount(), 100, spawn_rng(1),
-                metric=MetricSpec(), **knobs,
+                trace, partial(SnfParams, metric=MetricSpec()), pop, EdgeCount(), 100,
+                spawn_rng(1), _knobs_config(**knobs),
             )
 
     @pytest.mark.parametrize("knobs", [{"tau": -0.5}, {"tau": 1.5}, {"inner_steps": -3}])
@@ -51,7 +56,8 @@ class TestInnerChainKnobs:
         _, pop, trace = small_fit()
         with pytest.raises(DomainError):
             bayes_chi2(
-                trace, "cer", pop, EdgeCount(), Chi2Config(), spawn_rng(2), **knobs
+                trace, CerParams, pop, EdgeCount(), Chi2Config(), spawn_rng(2),
+                _knobs_config(**knobs),
             )
 
     def test_robustness_study_simulates_with_configured_inner_chains(self, monkeypatch):

@@ -90,7 +90,7 @@ def _commands(tmp, name):
         # No gamma_upsilons: the gamma steps come from the distance profile.
         "fit-sn": [
             ["fit-sn"]
-            + config("sn", f"data={data}\nmodel=snf\nn_samples=3\nburn_in=2\nlag=1\n"
+            + config("sn", f"data={data}\nn_samples=3\nburn_in=2\nlag=1\n"
                      "alpha_tilde=0.2\naux_inner_steps=20\n")
         ],
         "robustness": [

@@ -9,6 +9,7 @@ exactly, down to the generator state it leaves behind.
 """
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -40,6 +41,12 @@ from graphpop.models import CerParams, SnfParams
 
 def _params(model, mode, theta, metric):
     return CerParams(mode, theta) if model == "cer" else SnfParams(mode, theta, metric)
+
+
+def _fitted(model, metric=None, inner_steps=None, tau=None):
+    """The checks' ``(params_of, mcmc)`` pair for the reference functions' arguments."""
+    mcmc = McmcConfig(n_samples=0, flip_prob_tau=tau, aux_inner_steps=inner_steps)
+    return partial(_params, model, metric=metric), mcmc
 
 
 def _reference_ppc(trace, model, pop, stat, k_draws, rng, metric=None, inner_steps=None, tau=None):
@@ -106,7 +113,8 @@ class TestSameStreamAsThePerDrawLoops:
     def test_ppc_draws(self, model, n_vertices, metric, knobs, stat):
         trace, pop = _trace_and_pop(model, n_vertices, 1)
         rng, ref_rng = spawn_rng(2), spawn_rng(2)
-        got = posterior_predictive_check(trace, model, pop, stat, 100, rng, metric=metric, **knobs)
+        params_of, mcmc = _fitted(model, metric, **knobs)
+        got = posterior_predictive_check(trace, params_of, pop, stat, 100, rng, mcmc)
         want = _reference_ppc(trace, model, pop, stat, 100, ref_rng, metric=metric, **knobs)
         assert got.draws.dtype == want.dtype
         assert np.array_equal(got.draws, want)
@@ -118,7 +126,10 @@ class TestSameStreamAsThePerDrawLoops:
         cfg = Chi2Config((0.0, 1 / 3, 2 / 3, 1.0))
         rng, ref_rng = spawn_rng(4), spawn_rng(4)
         kwargs = dict(metric=metric, n_sims=12, max_draws=max_draws, **knobs)
-        got = bayes_chi2(trace, model, pop, DegreeQuantile(0.5), cfg, rng, **kwargs)
+        params_of, mcmc = _fitted(model, metric, **knobs)
+        got = bayes_chi2(
+            trace, params_of, pop, DegreeQuantile(0.5), cfg, rng, mcmc, 12, max_draws
+        )
         want = _reference_chi2(trace, model, pop, DegreeQuantile(0.5), cfg, ref_rng, **kwargs)
         assert got.rb_values.dtype == want.dtype
         assert np.array_equal(got.rb_values, want)
@@ -247,9 +258,8 @@ class TestStatisticsShareOneReplicatePerDraw:
     def test_ppc_draws(self, model, n_vertices, metric, knobs, stats):
         trace, pop = _trace_and_pop(model, n_vertices, 1)
         rng, ref_rng = spawn_rng(2), spawn_rng(2)
-        got = posterior_predictive_checks(
-            trace, model, pop, stats, 100, rng, metric=metric, **knobs
-        )
+        params_of, mcmc = _fitted(model, metric, **knobs)
+        got = posterior_predictive_checks(trace, params_of, pop, stats, 100, rng, mcmc)
         want = _reference_shared_ppc(trace, model, pop, stats, 100, ref_rng, metric=metric, **knobs)
         assert len(got) == len(stats)
         for stat, res, draws in zip(stats, got, want):
@@ -263,7 +273,8 @@ class TestStatisticsShareOneReplicatePerDraw:
         cfg = Chi2Config((0.0, 1 / 3, 2 / 3, 1.0))
         rng, ref_rng = spawn_rng(4), spawn_rng(4)
         kwargs = dict(metric=metric, n_sims=12, max_draws=max_draws, **knobs)
-        got = bayes_chi2_checks(trace, model, pop, THREE_STATS, cfg, rng, **kwargs)
+        params_of, mcmc = _fitted(model, metric, **knobs)
+        got = bayes_chi2_checks(trace, params_of, pop, THREE_STATS, cfg, rng, mcmc, 12, max_draws)
         want = _reference_shared_chi2(trace, model, pop, THREE_STATS, cfg, ref_rng, **kwargs)
         assert len(got) == len(THREE_STATS)
         for res, rb in zip(got, want):
@@ -274,6 +285,7 @@ class TestStatisticsShareOneReplicatePerDraw:
 def _reference_robustness(cfg):
     """The study as a loop of one predictive check and one chi-squared per statistic in turn."""
     knobs = dict(inner_steps=cfg.mcmc.aux_inner_steps, tau=cfg.mcmc.flip_prob_tau)
+    params_of, mcmc = _fitted(cfg.model, **knobs)
     rows = []
     for n in cfg.sample_sizes:
         chi2_cfg = Chi2Config(tuple(np.linspace(0.0, 1.0, min(5, n) + 1)))
@@ -287,11 +299,11 @@ def _reference_robustness(cfg):
             out = {}
             for stat in cfg.statistics:
                 ppc = posterior_predictive_check(
-                    trace, cfg.model, pop, stat, cfg.ppc_draws, rng, **knobs
+                    trace, params_of, pop, stat, cfg.ppc_draws, rng, mcmc
                 )
                 chi2 = bayes_chi2(
-                    trace, cfg.model, pop, stat, chi2_cfg, rng,
-                    n_sims=cfg.chi2_sims, max_draws=cfg.chi2_max_draws, **knobs,
+                    trace, params_of, pop, stat, chi2_cfg, rng, mcmc,
+                    n_sims=cfg.chi2_sims, max_draws=cfg.chi2_max_draws,
                 )
                 out[stat.name] = (
                     ppc.tail_prob < cfg.nominal_level,

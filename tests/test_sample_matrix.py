@@ -1,6 +1,7 @@
 """One entry point for drawing populations from a fitted model, and its callers."""
 
 import json
+from functools import partial
 
 import numpy as np
 import pytest
@@ -103,10 +104,9 @@ class TestOneDrawPerPopulation:
         pop = GraphPopulation(tuple(cer_sample(CerParams(mode, 0.1), rng) for _ in range(4)))
         trace = fit_cer_cer(pop, CerCerHyper(g0=mode, alpha0=0.1), McmcConfig(n_samples=5))
         calls = _count_draws(monkeypatch)
-        metric = MetricSpec() if model == "snf" else None
-        posterior_predictive_check(
-            trace, model, pop, EdgeCount(), 100, spawn_rng(6), metric=metric, inner_steps=5
-        )
+        params_of = CerParams if model == "cer" else partial(SnfParams, metric=MetricSpec())
+        mcmc = McmcConfig(n_samples=0, aux_inner_steps=5)
+        posterior_predictive_check(trace, params_of, pop, EdgeCount(), 100, spawn_rng(6), mcmc)
         assert calls == {"cer": 100 if model == "cer" else 0, "snf": 100 if model == "snf" else 0}
 
     @pytest.mark.parametrize("kind", ["cer", "snf"])
@@ -152,15 +152,16 @@ class TestCerDiagnosticsWithoutVertexPairs:
 
     def test_cer_ppc_and_chi2_run(self):
         trace = self.trace()
-        ppc = posterior_predictive_check(trace, "cer", self.POP, EdgeCount(), 100, spawn_rng(1))
+        ppc = posterior_predictive_check(trace, CerParams, self.POP, EdgeCount(), 100, spawn_rng(1))
         assert ppc.eta0 == 0.0 and ppc.tail_prob == 1.0
-        chi2 = bayes_chi2(trace, "cer", self.POP, EdgeCount(), Chi2Config(), spawn_rng(2), n_sims=10)
+        chi2 = bayes_chi2(trace, CerParams, self.POP, EdgeCount(), Chi2Config(), spawn_rng(2), n_sims=10)
         assert chi2.rb_values.shape == (5,)
 
     def test_snf_ppc_still_needs_a_flip_probability(self):
         with pytest.raises(DomainError):
             posterior_predictive_check(
-                self.trace(), "snf", self.POP, EdgeCount(), 100, spawn_rng(1), metric=MetricSpec()
+                self.trace(), partial(SnfParams, metric=MetricSpec()), self.POP, EdgeCount(), 100,
+                spawn_rng(1),
             )
 
 

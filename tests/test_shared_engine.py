@@ -18,7 +18,7 @@ from graphpop.diagnostics import (
 )
 from graphpop.inference import McmcConfig, spawn_rng
 from graphpop.metrics import MetricSpec
-from test_predictive_draws import _reference_chi2, _reference_ppc, _trace_and_pop
+from test_predictive_draws import _fitted, _reference_chi2, _reference_ppc, _trace_and_pop
 
 
 @pytest.fixture
@@ -48,9 +48,8 @@ def test_ppc_builds_one_engine_and_keeps_its_draws(engines_built, n_vertices, me
     rng, ref_rng = spawn_rng(22), spawn_rng(22)
     want = _reference_ppc(trace, "snf", pop, DegreeQuantile(0.5), 100, ref_rng, metric, **knobs)
     del engines_built[:]
-    got = posterior_predictive_check(
-        trace, "snf", pop, DegreeQuantile(0.5), 100, rng, metric=metric, **knobs
-    )
+    params_of, mcmc = _fitted("snf", metric, **knobs)
+    got = posterior_predictive_check(trace, params_of, pop, DegreeQuantile(0.5), 100, rng, mcmc)
     assert engines_built == [(metric, n_vertices)]
     assert got.draws.tobytes() == want.tobytes()
     assert rng.random() == ref_rng.random()
@@ -64,7 +63,8 @@ def test_chi2_builds_one_engine_and_keeps_its_values(engines_built, n_vertices, 
     kwargs = dict(metric=metric, n_sims=12, max_draws=5, **knobs)
     want = _reference_chi2(trace, "snf", pop, DegreeQuantile(0.5), cfg, ref_rng, **kwargs)
     del engines_built[:]
-    got = bayes_chi2(trace, "snf", pop, DegreeQuantile(0.5), cfg, rng, **kwargs)
+    params_of, mcmc = _fitted("snf", metric, **knobs)
+    got = bayes_chi2(trace, params_of, pop, DegreeQuantile(0.5), cfg, rng, mcmc, 12, 5)
     assert engines_built == [(metric, n_vertices)]
     assert got.rb_values.tobytes() == want.tobytes()
     assert rng.random() == ref_rng.random()

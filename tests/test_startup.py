@@ -75,7 +75,7 @@ def test_fit_sn_loads_no_scipy(inputs):
     tmp, data, _ = inputs
     cfg = _config(
         tmp / "sn.cfg",
-        f"data={data}\nmodel=snf\nn_samples=3\nburn_in=2\nlag=1\n"
+        f"data={data}\nn_samples=3\nburn_in=2\nlag=1\n"
         "gamma_upsilons=0.1,0.5\nalpha_tilde=0.2\naux_inner_steps=20\n",
     )
     assert _scipy_modules_after(["fit-sn", "--config", cfg, "--out", str(tmp / "sn")]) == []
