@@ -62,6 +62,7 @@ from .inference import (
     McmcConfig,
     SnSnHyper,
     TruncatedUniformPrior,
+    _check_sn_sn_inputs,
     fit_cer_cer,
     fit_sn_sn,
     plugin_alpha_tilde,
@@ -242,14 +243,16 @@ def _cmd_fit_cer(args) -> int:
 
 def _cmd_fit_sn(args) -> int:
     cfg, pop, g0 = _load_fit_inputs(args)
-    out = gio.ensure_dir(cfg["out"])
-    started = _now()
     metric = _metric_from(cfg)
     if cfg["gamma_prior"] == "exponential":
         prior = ExponentialPrior(cfg["gamma_rate"])
     else:
         prior = TruncatedUniformPrior(cfg["gamma_kappa"])
     hyper = SnSnHyper(g0=g0, gamma0=cfg["gamma0"], metric=metric, gamma_prior=prior)
+    # Refused before the pre-fit and the gamma profile pay for a run that cannot start.
+    _check_sn_sn_inputs(hyper, pop.n_vertices)
+    out = gio.ensure_dir(cfg["out"])
+    started = _now()
 
     # Plug-in dispersion for the auxiliary density: posterior mean alpha from a
     # CER/CER pre-fit, unless the config pins alpha_tilde.
@@ -301,6 +304,8 @@ def _cmd_distances(args) -> int:
 
 def _cmd_mds(args) -> int:
     pop = gio.read_population(args.data)
+    if not 1 <= args.dim <= len(pop) - 1:
+        raise ConfigError(f"--dim {args.dim} outside [1, {len(pop) - 1}] for {len(pop)} graphs")
     metric = MetricSpec(kind=args.metric, t=args.t)
     out = gio.ensure_dir(args.out)
     started = _now()
@@ -318,8 +323,11 @@ def _cmd_mds(args) -> int:
 
 
 def _cmd_diagnose(args) -> int:
+    """Check a fit against its data. The model comes from the trace header: its
+    ``param``, metric and sampler config (the replicates' inner chains)."""
     # Bounded as the experiment keys that set the same knobs are.
     for flag, key, value in (
+        ("--k", "ppc_draws", args.k),
         ("--chi2-sims", "chi2_sims", args.chi2_sims),
         ("--max-draws", "chi2_max_draws", args.max_draws),
     ):
@@ -329,15 +337,15 @@ def _cmd_diagnose(args) -> int:
             raise ConfigError(f"{flag}: {exc}") from None
     pop = gio.read_population(args.data)
     trace = gio.read_trace(args.trace)
-    param = {"cer": "alpha", "snf": "gamma"}[args.model]
-    if trace.param_name != param:
-        raise ConfigError(f"--model {args.model} fits {param}; the trace holds {trace.param_name}")
+    if trace.param_name == "alpha":
+        params_of = CerParams
+    elif trace.param_name != "gamma":
+        raise SchemaError(f"{trace.param_name!r} is neither alpha nor gamma", field="param")
+    elif trace.metric is None:
+        raise SchemaError("the gamma trace's header names no metric; refit it", field="metric")
+    else:
+        params_of = partial(SnfParams, metric=trace.metric)
     stat = _stat_from_name(args.stat)
-    params_of = CerParams
-    if args.model == "snf":
-        metric = MetricSpec(kind=args.metric, t=args.t, phi=getattr(args, "phi", "identity"))
-        params_of = partial(SnfParams, metric=metric)
-    # Replicates run the inner chains the fit ran, as its trace header records.
     fitted = trace.config or McmcConfig(n_samples=0)
     out = gio.ensure_dir(args.out)
     started = _now()
@@ -450,11 +458,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagnose", help="posterior predictive check and Bayesian chi-squared")
     p.add_argument("--data", required=True)
     p.add_argument("--trace", required=True)
-    p.add_argument("--model", choices=("cer", "snf"), required=True)
-    p.add_argument("--metric", choices=("hamming", "diffusion"), default="hamming")
-    p.add_argument("--t", type=float, default=1.0)
-    # Left out of the manifest unless given, so identity-phi manifests keep their keys.
-    p.add_argument("--phi", choices=("identity", "square"), default=argparse.SUPPRESS)
     p.add_argument("--stat", default="degree_q0.9")
     p.add_argument("--k", type=int, default=200)
     p.add_argument("--chi2-sims", dest="chi2_sims", type=int, default=300)

@@ -206,7 +206,8 @@ class McmcConfig:
 
 @dataclass
 class Trace:
-    """Kept posterior samples of (mode graph, scalar) plus bookkeeping."""
+    """Kept posterior samples of (mode graph, scalar) plus bookkeeping: the
+    fit's sampler ``config`` and, for SN/SN (scalar gamma), its ``metric``."""
 
     graphs: list[LabelledGraph]
     params: np.ndarray
@@ -215,6 +216,7 @@ class Trace:
     n_vertices: int
     accept_counts: dict[str, tuple[int, int]] = field(default_factory=dict)
     config: Optional[McmcConfig] = None
+    metric: Optional[MetricSpec] = None
 
     def __len__(self) -> int:
         return len(self.graphs)
@@ -986,7 +988,8 @@ def fit_sn_sn(
     for (mode, gamma), data-kernel ratio, the inverse ratio of the SNF kernels
     at the auxiliaries, and the proposal ratio. The partition functions cancel
     exactly; above N = 5 the finite inner chains are the only approximation.
-    gamma starts at ``hyper.gamma0``, which must lie in the prior's support.
+    gamma starts at ``hyper.gamma0``, which must lie in the prior's support
+    (``_check_sn_sn_inputs``). The trace records ``hyper.metric``.
 
     The chain is the generator ``_sn_sn_chain``, which ``_drive_chain``
     advances in blocks as it does ``fit_cer_cer``'s. It draws the starting
@@ -995,15 +998,20 @@ def fit_sn_sn(
     """
     if not 0.0 < alpha_tilde < 0.5:
         raise DomainError(f"alpha_tilde={alpha_tilde} outside (0, 0.5)")
-    if hyper.gamma_prior.log_pdf(hyper.gamma0) == -inf:
-        raise DomainError(f"gamma0={hyper.gamma0} lies outside the support of {hyper.gamma_prior}")
-    n_vertices = pop.n_vertices
-    if hyper.g0.n_vertices != n_vertices:
-        raise DomainError("prior mode lives on a different vertex set than the data")
+    _check_sn_sn_inputs(hyper, pop.n_vertices)
     accepts = {"flip": [0, 0], "empirical": [0, 0]}
     chain = _sn_sn_chain(pop, hyper, cfg, alpha_tilde, spawn_rng(cfg.seed), accepts)
     next(chain)
-    return _drive_chain(cfg, accepts, chain.send, "gamma", n_vertices)
+    trace = _drive_chain(cfg, accepts, chain.send, "gamma", pop.n_vertices)
+    return replace(trace, metric=hyper.metric)
+
+
+def _check_sn_sn_inputs(hyper: SnSnHyper, n_vertices: int) -> None:
+    """``DomainError`` unless gamma0 is in the prior's support and g0 on ``n_vertices``."""
+    if hyper.gamma_prior.log_pdf(hyper.gamma0) == -inf:
+        raise DomainError(f"gamma0={hyper.gamma0} lies outside the support of {hyper.gamma_prior}")
+    if hyper.g0.n_vertices != n_vertices:
+        raise DomainError("prior mode lives on a different vertex set than the data")
 
 
 def _sn_sn_chain(pop, hyper, cfg, alpha_tilde, rng, accepts):

@@ -1,9 +1,9 @@
 """File formats: population NDJSON, adjacency CSV, trace NDJSON, run configs.
 
 Vertex indices are 1-based in every file and 0-based in memory. Trace files
-carry a header line with the config hash followed by one JSON object per kept
-sample; they contain no timestamps, so identical runs produce byte-identical
-files.
+carry a header line (the sampler config and its hash, and for an SN/SN fit the
+metric) followed by one JSON object per kept sample; they contain no
+timestamps, so identical runs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from .diagnostics import chi2_quantile
 from .errors import ConfigError, ParseError, SchemaError
 from .graphs import GraphPopulation, LabelledGraph, edge_matrix, n_pairs, pair_positions
 from .inference import McmcConfig, Trace
-from .metrics import DistanceMatrix
+from .metrics import DistanceMatrix, MetricSpec
 
 
 # ---------------------------------------------------------------------------
@@ -262,7 +262,8 @@ def config_hash(config: dict) -> str:
 
 
 def write_trace(trace: Trace, path: str) -> None:
-    """Trace NDJSON: a header with the config hash, then one line per kept sample."""
+    """Trace NDJSON: a header with the config hash and, for an SN/SN fit, the
+    ``"metric": {"kind", "phi", "t"}`` it ran under, then one line per kept sample."""
     cfg_dict = asdict(trace.config) if trace.config is not None else {}
     header = {
         "type": "trace",
@@ -272,6 +273,8 @@ def write_trace(trace: Trace, path: str) -> None:
         "config": cfg_dict,
         "accept_counts": {k: list(v) for k, v in trace.accept_counts.items()},
     }
+    if trace.metric is not None:
+        header["metric"] = asdict(trace.metric)
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(json.dumps(header, sort_keys=True, separators=(",", ":")) + "\n")
         # Each sample line has the bytes of json.dumps({"iter", "edges",
@@ -285,6 +288,7 @@ def write_trace(trace: Trace, path: str) -> None:
 
 
 def read_trace(path: str) -> Trace:
+    """The trace in a ``write_trace`` file; with no header ``metric``, its metric is None."""
     records = _ndjson_records(path)
     first = next(records, None)
     if first is None:
@@ -316,6 +320,7 @@ def read_trace(path: str) -> Trace:
         n_vertices=n_vertices,
         accept_counts=_header_accepts(header.get("accept_counts", {}), header_line),
         config=_header_config(cfg_dict, header_line) if cfg_dict else None,
+        metric=_header_metric(header["metric"], header_line) if "metric" in header else None,
     )
 
 
@@ -344,6 +349,21 @@ def _header_config(cfg_dict, line_no: int) -> McmcConfig:
                 f"header config value {value!r} on line {line_no} has the wrong type", field=name
             )
     return McmcConfig(**values)
+
+
+def _header_metric(spec, line_no: int) -> MetricSpec:
+    """The trace header's metric; a missing, mistyped or invalid field raises ``SchemaError``."""
+    if not isinstance(spec, dict):
+        raise SchemaError(f"not an object on line {line_no}", field="metric")
+    hints = get_type_hints(MetricSpec)
+    for name, value in zip(hints, _required(spec, line_no, *hints)):
+        try:
+            if not _conforms(value, hints[name]):
+                raise ValueError("wrong JSON type")
+            MetricSpec(**{name: value})  # MetricSpec checks each field on its own
+        except ValueError as exc:
+            raise SchemaError(f"{value!r} on line {line_no}: {exc}", field=name) from None
+    return MetricSpec(**{name: spec[name] for name in hints})
 
 
 def _header_accepts(counts, line_no: int) -> dict[str, tuple[int, int]]:

@@ -221,16 +221,15 @@ class TestFlagManifests:
         gio.write_population(pop, str(data))
         out = tmp_path / "o"
         argv = [
-            "diagnose", "--data", str(data), "--trace", str(trace_path), "--model", "cer",
+            "diagnose", "--data", str(data), "--trace", str(trace_path),
             "--stat", "edge_count", "--k", "100", "--chi2-sims", "12", "--max-draws", "3",
             "--seed", "5", "--out", str(out),
         ]
         assert main(argv) == 0
         manifest = _manifest(out)
         assert manifest["config"] == {
-            "data": str(data), "trace": str(trace_path), "model": "cer", "stat": "edge_count",
-            "metric": "hamming", "t": 1.0, "k": 100, "chi2_sims": 12, "max_draws": 3,
-            "seed": 5, "out": str(out),
+            "data": str(data), "trace": str(trace_path), "stat": "edge_count", "k": 100,
+            "chi2_sims": 12, "max_draws": 3, "seed": 5, "out": str(out),
         }
         assert manifest["seed"] == 5
 
@@ -320,11 +319,11 @@ class TestPredictionAtZeroContourRadius:
 class TestDiagnoseCommand:
     """diagnose bounds its chi-squared knobs and replays the fitted model."""
 
-    def _inputs(self, tmp_path, config):
+    def _inputs(self, tmp_path, config, metric=MetricSpec()):
         g = LabelledGraph.from_edges(4, [(0, 1), (2, 3)])
         trace = Trace(
             graphs=[g] * 10, params=np.full(10, 2.0), log_kernels=np.zeros(10),
-            param_name="gamma", n_vertices=4, config=config,
+            param_name="gamma", n_vertices=4, config=config, metric=metric,
         )
         trace_path = tmp_path / "trace.ndjson"
         gio.write_trace(trace, str(trace_path))
@@ -332,7 +331,7 @@ class TestDiagnoseCommand:
 
     def _argv(self, tmp_path, data, trace_path, *extra):
         return [
-            "diagnose", "--data", str(data), "--trace", str(trace_path), "--model", "snf",
+            "diagnose", "--data", str(data), "--trace", str(trace_path),
             "--stat", "edge_count", "--k", "100", "--chi2-sims", "10", "--max-draws", "2",
             "--out", str(tmp_path / "o"), *extra,
         ]
@@ -365,7 +364,9 @@ class TestDiagnoseCommand:
         assert set(seen) == {(7, 0.25)}
 
     def test_phi_reaches_the_replicate_metric(self, tmp_path, monkeypatch):
-        data, trace_path = self._inputs(tmp_path, McmcConfig(n_samples=10, aux_inner_steps=5))
+        data, trace_path = self._inputs(
+            tmp_path, McmcConfig(n_samples=10, aux_inner_steps=5), MetricSpec(phi="square")
+        )
         metrics = []
 
         def spying(func):
@@ -377,6 +378,5 @@ class TestDiagnoseCommand:
 
         monkeypatch.setattr(cli, "posterior_predictive_check", spying(cli.posterior_predictive_check))
         monkeypatch.setattr(cli, "bayes_chi2", spying(cli.bayes_chi2))
-        assert main(self._argv(tmp_path, data, trace_path, "--phi", "square")) == 0
+        assert main(self._argv(tmp_path, data, trace_path)) == 0
         assert metrics == [MetricSpec(kind="hamming", phi="square")] * 2
-        assert _manifest(tmp_path / "o")["config"]["phi"] == "square"

@@ -1,26 +1,24 @@
 """Input that cannot describe a run is refused before any draw.
 
-A ``diagnose --model`` that does not match the trace's scalar, a ``gamma0``
-outside the gamma prior's support, and a fit config asking for no samples
-each exit 1 with one JSON error line, where they used to run on and report
-meaningless results or fail later with a misleading error.
+A ``gamma0`` outside the gamma prior's support, a fit config asking for no
+samples, a ``diagnose --k`` below the predictive check's bound and an
+``mds --dim`` outside what the population spans each exit 1 with one JSON
+error line, where they used to run on and report meaningless results or fail
+later with a misleading error; none of them leaves an output directory.
 """
 
 import json
 
-import numpy as np
 import pytest
 
 from conftest import random_graph
-from graphpop import inference
-from graphpop import io as gio
+from graphpop import cli, diagnostics, inference
 from graphpop.cli import main
 from graphpop.errors import DomainError
-from graphpop.graphs import GraphPopulation, LabelledGraph
+from graphpop.graphs import GraphPopulation
 from graphpop.inference import (
     McmcConfig,
     SnSnHyper,
-    Trace,
     TruncatedUniformPrior,
     fit_sn_sn,
     spawn_rng,
@@ -31,35 +29,6 @@ from test_cli_config import _population_file
 def _error(capsys) -> dict:
     (line,) = capsys.readouterr().err.strip().splitlines()
     return json.loads(line)
-
-
-class TestDiagnoseModelMatchesTrace:
-    def _trace_file(self, tmp_path, param_name, value):
-        g = LabelledGraph.from_edges(4, [(0, 1), (2, 3)])
-        trace = Trace(
-            graphs=[g] * 10, params=np.full(10, value), log_kernels=np.zeros(10),
-            param_name=param_name, n_vertices=4, config=McmcConfig(n_samples=10),
-        )
-        path = tmp_path / "trace.ndjson"
-        gio.write_trace(trace, str(path))
-        return path
-
-    # Both scalars lie in (0, 0.5), where either family would accept them.
-    @pytest.mark.parametrize(
-        "model, param_name", [("snf", "alpha"), ("cer", "gamma")], ids=["snf-on-cer", "cer-on-snf"]
-    )
-    def test_mismatch_exits_one_naming_both(self, tmp_path, capsys, model, param_name):
-        trace = self._trace_file(tmp_path, param_name, 0.1)
-        argv = [
-            "diagnose", "--data", str(_population_file(tmp_path)), "--trace", str(trace),
-            "--model", model, "--stat", "edge_count", "--k", "100", "--chi2-sims", "10",
-            "--max-draws", "2", "--out", str(tmp_path / "o"),
-        ]
-        assert main(argv) == 1
-        parsed = _error(capsys)
-        assert parsed["error"] == "ConfigError"
-        assert model in parsed["message"] and param_name in parsed["message"]
-        assert not (tmp_path / "o").exists()
 
 
 class TestGammaStartInPriorSupport:
@@ -84,6 +53,58 @@ class TestGammaStartInPriorSupport:
         parsed = _error(capsys)
         assert parsed["error"] == "DomainError" and "gamma0" in parsed["message"]
         assert not (tmp_path / "o" / "trace.ndjson").exists()
+
+
+def test_fit_sn_refuses_gamma0_before_its_pre_stages(tmp_path, capsys, monkeypatch):
+    """With neither alpha_tilde nor gamma_upsilons set, fit-sn would run a CER
+    pre-fit and the 13-gamma profile first; the gamma0 check comes before both."""
+    seen = []
+
+    def spy(name, real):
+        def wrapper(*args, **kwargs):
+            seen.append(name)
+            return real(*args, **kwargs)
+
+        return wrapper
+
+    monkeypatch.setattr(inference, "fit_cer_cer", spy("pre-fit", inference.fit_cer_cer))
+    monkeypatch.setattr(diagnostics, "snf_mh_matrix", spy("profile", diagnostics.snf_mh_matrix))
+    cfg = tmp_path / "sn.cfg"
+    cfg.write_text(
+        f"data={_population_file(tmp_path, n_vertices=7)}\nn_samples=5\nburn_in=5\nlag=1\n"
+        "metric=diffusion\ngamma_prior=uniform\ngamma_kappa=0.5\ngamma0=1.0\n"
+    )
+    assert main(["fit-sn", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    parsed = _error(capsys)
+    assert parsed["error"] == "DomainError" and "gamma0" in parsed["message"]
+    assert seen == []
+    assert not (tmp_path / "o").exists()
+
+
+def test_diagnose_refuses_k_below_the_predictive_bound_first(tmp_path, capsys):
+    # Neither input file exists: the flag is checked before either is read.
+    argv = [
+        "diagnose", "--data", str(tmp_path / "pop.ndjson"), "--trace", str(tmp_path / "t"),
+        "--k", "50", "--out", str(tmp_path / "o"),
+    ]
+    assert main(argv) == 1
+    parsed = _error(capsys)
+    assert parsed["error"] == "ConfigError" and "--k" in parsed["message"]
+    assert "100" in parsed["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("dim", ["0", "5"])
+def test_mds_refuses_dim_before_any_distance(tmp_path, capsys, monkeypatch, dim):
+    data = _population_file(tmp_path, n_graphs=5)
+    computed = []
+    monkeypatch.setattr(cli, "distance_matrix", lambda *a: computed.append(a))
+    argv = ["mds", "--data", str(data), "--dim", dim, "--out", str(tmp_path / "o")]
+    assert main(argv) == 1
+    parsed = _error(capsys)
+    assert parsed["error"] == "ConfigError" and "--dim" in parsed["message"]
+    assert computed == []
+    assert not (tmp_path / "o").exists()
 
 
 @pytest.mark.parametrize("command", ["fit-cer", "fit-sn"])

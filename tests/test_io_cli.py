@@ -292,8 +292,6 @@ class TestCli:
                 "diagnose",
                 "--data", str(data),
                 "--trace", str(fit_out / "trace.ndjson"),
-                "--model", "snf",
-                "--metric", "hamming",
                 "--stat", "degree_q0.9",
                 "--k", "120",
                 "--out", str(diag_out),

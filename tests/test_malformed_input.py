@@ -1,6 +1,7 @@
 """Malformed NDJSON input exits 1 with one JSON line, and the package has one version."""
 
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -12,6 +13,7 @@ from graphpop.cli import main
 from graphpop.errors import ParseError, SchemaError
 from graphpop.graphs import GraphPopulation, LabelledGraph
 from graphpop.inference import McmcConfig, Trace
+from graphpop.metrics import MetricSpec
 
 GOOD_GRAPH = '{"id":"g1","n":3,"edges":[[1,2]]}'
 
@@ -27,14 +29,14 @@ def _trace():
     )
 
 
-def _write_inputs(tmp_path, population_text=None, edit_trace=None):
+def _write_inputs(tmp_path, population_text=None, edit_trace=None, trace=None):
     data = tmp_path / "pop.ndjson"
     if population_text is None:
         gio.write_population(GraphPopulation((LabelledGraph(3, 1),) * 3), str(data))
     else:
         data.write_text(population_text)
     trace_path = tmp_path / "trace.ndjson"
-    gio.write_trace(_trace(), str(trace_path))
+    gio.write_trace(_trace() if trace is None else trace, str(trace_path))
     if edit_trace is not None:
         records = [json.loads(line) for line in trace_path.read_text().splitlines()]
         edit_trace(records)
@@ -62,7 +64,7 @@ def _distances(tmp_path, data, trace_path):
 
 def _diagnose(tmp_path, data, trace_path):
     return [
-        "diagnose", "--data", str(data), "--trace", str(trace_path), "--model", "cer",
+        "diagnose", "--data", str(data), "--trace", str(trace_path),
         "--stat", "edge_count", "--k", "100", "--chi2-sims", "10", "--max-draws", "1",
         "--out", str(tmp_path / "o"),
     ]
@@ -231,3 +233,75 @@ def test_well_typed_header_values_still_load(tmp_path):
         n_samples=3, flip_prob_tau=0.25, kernel_mix_weight=1, step_sizes_upsilon=(1, 0.5)
     )
     assert back.accept_counts == {"flip": (2, 5), "empirical": (0, 0)}
+
+
+# An SN/SN trace: its header names the metric the fit ran under.
+GAMMA_TRACE = replace(
+    _trace(), params=np.full(3, 2.0), param_name="gamma",
+    metric=MetricSpec(kind="diffusion", t=0.5, phi="square"),
+)
+
+
+def _set_metric(key, value):
+    def edit(records):
+        records[0]["metric"][key] = value
+
+    return edit
+
+
+def _drop_metric(key):
+    def edit(records):
+        del records[0]["metric"][key]
+
+    return edit
+
+
+@pytest.mark.parametrize(
+    "edit_trace, field",
+    [
+        (_set(0, "metric", "diffusion"), "metric"),
+        (_set_metric("kind", "foo"), "kind"),
+        (_set_metric("t", "x"), "t"),
+        (_set_metric("t", 0), "t"),
+        (_drop_metric("phi"), "phi"),
+        (_drop(0, "metric"), "metric"),
+        (_set(0, "param", "beta"), "param"),
+    ],
+    ids=[
+        "metric-not-an-object",
+        "kind-unknown",
+        "t-string",
+        "t-zero",
+        "phi-missing",
+        "gamma-trace-without-metric",
+        "param-unknown",
+    ],
+)
+def test_header_model_errors_exit_one_naming_the_field(tmp_path, capsys, edit_trace, field):
+    data, trace_path = _write_inputs(tmp_path, edit_trace=edit_trace, trace=GAMMA_TRACE)
+    assert main(_diagnose(tmp_path, data, trace_path)) == 1
+    (line,) = capsys.readouterr().err.strip().splitlines()
+    parsed = json.loads(line)
+    assert parsed["error"] == "SchemaError" and f"field {field!r}" in parsed["message"]
+    assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize(
+    "metric",
+    [
+        MetricSpec(),
+        MetricSpec(kind="hamming", phi="square"),
+        MetricSpec(kind="diffusion", t=0.25),
+        MetricSpec(kind="diffusion", t=2.5, phi="square"),
+    ],
+    ids=["hamming", "hamming-square", "diffusion", "diffusion-square"],
+)
+def test_trace_round_trip_keeps_the_metric(tmp_path, metric):
+    _, trace_path = _write_inputs(tmp_path, trace=replace(GAMMA_TRACE, metric=metric))
+    assert gio.read_trace(str(trace_path)).metric == metric
+
+
+def test_cer_trace_header_has_no_metric(tmp_path):
+    _, trace_path = _write_inputs(tmp_path)
+    assert "metric" not in json.loads(trace_path.read_text().splitlines()[0])
+    assert gio.read_trace(str(trace_path)).metric is None
